@@ -19,7 +19,6 @@ type t = {
   p_traces_formed : int;
   p_traces_invalidated : int;
   p_trace_covered : int;
-  p_trace_hoisted : int;
   p_trace_fused : int;  (** macro-fused pairs installed at formation *)
   p_trace_slots : int;  (** inline translation slots installed *)
   p_trace_dead_flags : int;  (** dead flag writes elided *)
@@ -89,7 +88,6 @@ let capture_cpu ?workload ~technique (sm : Sitemap.t) (cpu : Cpu.t) =
     p_traces_formed = tier.Trace.formed_count;
     p_traces_invalidated = tier.Trace.invalidated_count;
     p_trace_covered = tier.Trace.covered_insns;
-    p_trace_hoisted = tier.Trace.hoisted_checks;
     p_trace_fused = tier.Trace.fused_uops;
     p_trace_slots = tier.Trace.cached_slots;
     p_trace_dead_flags = tier.Trace.dead_flags;
@@ -207,7 +205,6 @@ let merge = function
       p_traces_formed = sum (fun t -> t.p_traces_formed);
       p_traces_invalidated = sum (fun t -> t.p_traces_invalidated);
       p_trace_covered = sum (fun t -> t.p_trace_covered);
-      p_trace_hoisted = sum (fun t -> t.p_trace_hoisted);
       p_trace_fused = sum (fun t -> t.p_trace_fused);
       p_trace_slots = sum (fun t -> t.p_trace_slots);
       p_trace_dead_flags = sum (fun t -> t.p_trace_dead_flags);
@@ -264,7 +261,6 @@ let trace_to_json (s : Trace.stat) =
       ("side_exits", Json.Int s.Trace.t_side_exits);
       ("cycles", Json.Float s.Trace.t_cycles);
       ("loops", Json.Bool s.Trace.t_loops);
-      ("hoisted", Json.Int s.Trace.t_hoisted);
     ]
 
 let to_json t =
@@ -289,7 +285,6 @@ let to_json t =
             ("formed", Json.Int t.p_traces_formed);
             ("invalidated", Json.Int t.p_traces_invalidated);
             ("covered_insns", Json.Int t.p_trace_covered);
-            ("hoisted_checks", Json.Int t.p_trace_hoisted);
             ("fused_uops", Json.Int t.p_trace_fused);
             ("cached_slots", Json.Int t.p_trace_slots);
             ("dead_flags", Json.Int t.p_trace_dead_flags);
@@ -380,7 +375,6 @@ let trace_of_json j =
     t_side_exits = get_int "side_exits" j;
     t_cycles = get_float "cycles" j;
     t_loops = (match get "loops" j with Json.Bool b -> b | _ -> fail "trace loops not a bool");
-    t_hoisted = get_int "hoisted" j;
   }
 
 let of_json j =
@@ -401,7 +395,6 @@ let of_json j =
     p_traces_formed = tr "formed" get_int 0;
     p_traces_invalidated = tr "invalidated" get_int 0;
     p_trace_covered = tr "covered_insns" get_int 0;
-    p_trace_hoisted = tr "hoisted_checks" get_int 0;
     (* Lenient again inside the trace section: pre-optimizer profiles
        predate these counters. *)
     p_trace_fused = tr "fused_uops" get_int 0;

@@ -34,7 +34,6 @@ type t = {
   p_traces_formed : int;  (** cumulative, includes invalidated traces *)
   p_traces_invalidated : int;
   p_trace_covered : int;  (** retired instructions executed inside superblocks *)
-  p_trace_hoisted : int;  (** check uops hoisted into trace prologues *)
   p_trace_fused : int;  (** macro-fused uop pairs installed at formation *)
   p_trace_slots : int;  (** inline translation slots installed *)
   p_trace_dead_flags : int;  (** dead flag writes elided at formation *)

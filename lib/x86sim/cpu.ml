@@ -338,26 +338,32 @@ let[@inline] note_mem_class t =
     | Cache.L3 -> Pipeline.set_cls t.pipe Pipeline.cls_l2_miss
     | Cache.Dram -> Pipeline.set_cls t.pipe Pipeline.cls_l3_miss
 
-(* Memory-event emission, called right after an MMU access while [t.rip]
-   still points at the responsible instruction. The [n_event_hooks] guard
-   keeps the un-instrumented hot path allocation-free; the CPI class hint
-   is unconditional (a pair of scalar stores at most). *)
-let emit_mem t va =
+let emit_mem_events t va =
+  if t.mmu.Mmu.last_tlb_miss then emit t (Event.Tlb_miss { rip = t.rip; va });
+  match Cache.last_served t.mmu.Mmu.cache with
+  | Cache.L1 -> ()
+  | (Cache.L2 | Cache.L3 | Cache.Dram) as level ->
+    emit t (Event.Cache_miss { rip = t.rip; va; level })
+
+(* The memory-event rule: called right after every MMU access, while
+   [t.rip] still names the responsible instruction. The CPI class hint is
+   unconditional (a pair of scalar stores at most); the [n_event_hooks]
+   guard keeps the un-instrumented hot path to one compare and
+   allocation-free. *)
+let[@inline] emit_mem t va =
   note_mem_class t;
-  if t.n_event_hooks > 0 then begin
-    if t.mmu.Mmu.last_tlb_miss then emit t (Event.Tlb_miss { rip = t.rip; va });
-    match Cache.last_served t.mmu.Mmu.cache with
-    | Cache.L1 -> ()
-    | (Cache.L2 | Cache.L3 | Cache.Dram) as level ->
-      emit t (Event.Cache_miss { rip = t.rip; va; level })
+  if t.n_event_hooks > 0 then emit_mem_events t va
+
+(* Re-key both translation tiers when [t.program] changed identity. *)
+let[@inline] sync_translations t =
+  if not (Ublock.owns t.tcache t.program) then begin
+    t.tcache <- Ublock.create t.program;
+    t.traces <- Trace.recreate t.traces ~code_len:(Program.length t.program)
   end
 
 let load_program t prog =
   t.program <- prog;
-  if not (Ublock.owns t.tcache prog) then begin
-    t.tcache <- Ublock.create prog;
-    t.traces <- Trace.recreate t.traces ~code_len:(Program.length prog)
-  end;
+  sync_translations t;
   t.halted <- false;
   t.rip <- (if Program.has_label prog "main" then Program.label_index prog "main" else 0)
 
@@ -376,8 +382,6 @@ let set_traces_enabled t on = Trace.set_enabled t.traces on
 let traces_enabled t = t.traces.Trace.enabled
 let set_trace_fusion t on = Trace.set_optimize t.traces on
 let trace_fusion t = t.traces.Trace.optimize
-
-let install_trace_hoist_facts t facts = Trace.install_hoist_facts t.traces facts
 
 let cycles t = Pipeline.cycles t.pipe
 
@@ -407,11 +411,6 @@ let clear_site_rows t =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ea t (m : Insn.mem) =
-  (if m.base >= 0 then t.gpr.(m.base) else 0)
-  + (if m.index >= 0 then t.gpr.(m.index) * m.scale else 0)
-  + m.disp
-
 (* Store-to-load forwarding is not free: a dependent load sees the stored
    value ~5 cycles after the store executes (Skylake-like). *)
 let forward_delay = 5.0
@@ -438,9 +437,6 @@ let set_load_dep t va =
   if Array.unsafe_get t.sb_line s = line then
     t.pio.(Pipeline.io_dep) <- Array.unsafe_get t.sb_ready s
 
-let mem_src1 (m : Insn.mem) = if m.base >= 0 then Reg.pipe_gpr m.base else Reg.pipe_none
-let mem_src2 (m : Insn.mem) = if m.index >= 0 then Reg.pipe_gpr m.index else Reg.pipe_none
-
 let eval_cond t (c : Insn.cond) =
   match c with
   | Insn.Eq -> t.cmp = 0
@@ -460,8 +456,6 @@ let alu_apply (op : Insn.alu) a b =
   | Insn.Shl -> a lsl (b land 63)
   | Insn.Shr -> a lsr (b land 63)
   | Insn.Imul -> a * b
-
-let alu_lat (op : Insn.alu) = match op with Insn.Imul -> 3 | _ -> 1
 
 let nr = Reg.pipe_none
 
@@ -491,134 +485,15 @@ let aes_binop t f d s ~lat =
   Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm d) ~s2:(Reg.pipe_xmm s) ~s3:nr
        ~d1:(Reg.pipe_xmm d) ~d2:nr ~lat ~port:Pipeline.p_aes
 
+(* The six handler-running (serializing) instructions, which every loop
+   reaches as a [Ublock.Term_exec] terminator. The block tier ends its
+   chain after one, because its handler may attach hooks or swap the
+   program. All other instructions execute as uops ([exec_uop]) or
+   branch terminators ([exec_branch]). *)
 let exec t (insn : Insn.t) =
   let c = t.counters in
   let next = t.rip + 1 in
   match insn with
-  | Insn.Nop ->
-    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:0
-         ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Halt -> t.halted <- true
-  | Insn.Mov_rr (d, s) ->
-    t.gpr.(d) <- t.gpr.(s);
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr s) ~s2:nr ~s3:nr ~d1:(Reg.pipe_gpr d)
-         ~d2:nr ~lat:1 ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Mov_ri (d, i) ->
-    t.gpr.(d) <- i;
-    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:(Reg.pipe_gpr d) ~d2:nr ~lat:1 ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Mov_label (d, tgt) ->
-    t.gpr.(d) <- tgt.Insn.tidx;
-    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:(Reg.pipe_gpr d) ~d2:nr ~lat:1 ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Load (d, m) ->
-    let va = ea t m in
-    let v = Mmu.read64_fast t.mmu ~va in
-    emit_mem t va;
-    t.gpr.(d) <- v;
-    c.loads <- c.loads + 1;
-    set_load_dep t va;
-    Pipeline.issue_fast t.pipe ~s1:(mem_src1 m) ~s2:(mem_src2 m) ~s3:nr
-         ~d1:(Reg.pipe_gpr d) ~d2:nr ~lat:t.mmu.Mmu.last_lat ~port:Pipeline.p_load;
-    t.rip <- next
-  | Insn.Store (m, s) ->
-    let va = ea t m in
-    Mmu.write64_fast t.mmu ~va t.gpr.(s);
-    emit_mem t va;
-    c.stores <- c.stores + 1;
-        Pipeline.issue_fast t.pipe ~s1:(mem_src1 m) ~s2:(mem_src2 m) ~s3:(Reg.pipe_gpr s)
-        ~d1:nr ~d2:nr ~lat:1 ~port:Pipeline.p_store;
-    note_store t va;
-    t.rip <- next
-  | Insn.Store_i (m, i) ->
-    let va = ea t m in
-    Mmu.write64_fast t.mmu ~va i;
-    emit_mem t va;
-    c.stores <- c.stores + 1;
-        Pipeline.issue_fast t.pipe ~s1:(mem_src1 m) ~s2:(mem_src2 m) ~s3:nr ~d1:nr ~d2:nr
-        ~lat:1 ~port:Pipeline.p_store;
-    note_store t va;
-    t.rip <- next
-  | Insn.Lea (d, m) ->
-    t.gpr.(d) <- ea t m;
-    Pipeline.issue_fast t.pipe ~s1:(mem_src1 m) ~s2:(mem_src2 m) ~s3:nr
-         ~d1:(Reg.pipe_gpr d) ~d2:nr ~lat:1 ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Lea32 (d, m) ->
-    (* Address-size prefix: truncation happens in address generation. *)
-    t.gpr.(d) <- ea t m land 0xFFFFFFFF;
-    Pipeline.issue_fast t.pipe ~s1:(mem_src1 m) ~s2:(mem_src2 m) ~s3:nr
-         ~d1:(Reg.pipe_gpr d) ~d2:nr ~lat:1 ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Alu_rr (op, d, s) ->
-    let r = alu_apply op t.gpr.(d) t.gpr.(s) in
-    t.gpr.(d) <- r;
-    t.cmp <- r;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr d) ~s2:(Reg.pipe_gpr s) ~s3:nr
-         ~d1:(Reg.pipe_gpr d) ~d2:Reg.pipe_flags ~lat:(alu_lat op)
-         ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Alu_ri (op, d, i) ->
-    let r = alu_apply op t.gpr.(d) i in
-    t.gpr.(d) <- r;
-    t.cmp <- r;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr d) ~s2:nr ~s3:nr ~d1:(Reg.pipe_gpr d)
-         ~d2:Reg.pipe_flags ~lat:(alu_lat op) ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Cmp_rr (a, b) ->
-    t.cmp <- t.gpr.(a) - t.gpr.(b);
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr a) ~s2:(Reg.pipe_gpr b) ~s3:nr
-         ~d1:Reg.pipe_flags ~d2:nr ~lat:1 ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Cmp_ri (a, i) ->
-    t.cmp <- t.gpr.(a) - i;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr a) ~s2:nr ~s3:nr ~d1:Reg.pipe_flags
-         ~d2:nr ~lat:1 ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Test_rr (a, b) ->
-    t.cmp <- t.gpr.(a) land t.gpr.(b);
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr a) ~s2:(Reg.pipe_gpr b) ~s3:nr
-         ~d1:Reg.pipe_flags ~d2:nr ~lat:1 ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Jmp tgt ->
-    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-         ~port:Pipeline.p_branch;
-    t.rip <- tgt.Insn.tidx
-  | Insn.Jcc (cond, tgt) ->
-    Pipeline.issue_fast t.pipe ~s1:Reg.pipe_flags ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1 ~port:Pipeline.p_branch;
-    t.rip <- (if eval_cond t cond then tgt.Insn.tidx else next)
-  | Insn.Jmp_r r ->
-    c.ind_branches <- c.ind_branches + 1;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1 ~port:Pipeline.p_branch;
-    t.rip <- t.gpr.(r)
-  | Insn.Call tgt ->
-    c.calls <- c.calls + 1;
-    push t next;
-    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-         ~port:Pipeline.p_branch;
-    t.rip <- tgt.Insn.tidx
-  | Insn.Call_r r ->
-    c.calls <- c.calls + 1;
-    c.ind_branches <- c.ind_branches + 1;
-    push t next;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1 ~port:Pipeline.p_branch;
-    t.rip <- t.gpr.(r)
-  | Insn.Ret ->
-    c.rets <- c.rets + 1;
-    let v = pop t in
-    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-         ~port:Pipeline.p_branch;
-    t.rip <- v
-  | Insn.Push r ->
-    c.stores <- c.stores + 1;
-    push t t.gpr.(r);
-    t.rip <- next
-  | Insn.Pop r ->
-    c.loads <- c.loads + 1;
-    t.gpr.(r) <- pop t;
-    t.rip <- next
   | Insn.Syscall ->
     c.syscalls <- c.syscalls + 1;
     if t.virtualized && t.syscall_hypercall_tax then begin
@@ -639,58 +514,6 @@ let exec t (insn : Insn.t) =
   | Insn.Cpuid ->
     Pipeline.issue t.pipe ~serialize:true ~lat:100.0 ~port:Pipeline.p_special ();
     t.rip <- next
-  | Insn.Bnd_set (b, lo, hi) ->
-    t.bnd_lower.(b) <- lo;
-    t.bnd_upper.(b) <- hi;
-    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:(Reg.pipe_bnd b) ~d2:nr ~lat:1 ~port:Pipeline.p_mpx;
-    t.rip <- next
-  | Insn.Bndcu (b, r) ->
-    c.bnd_checks <- c.bnd_checks + 1;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:(Reg.pipe_bnd b) ~s3:nr ~d1:nr
-         ~d2:nr ~lat:1 ~port:Pipeline.p_mpx;
-    if t.bnd_enabled && t.gpr.(r) > t.bnd_upper.(b) then
-      Fault.raise_fault
-        (Fault.Bound_violation
-           { value = t.gpr.(r); lower = t.bnd_lower.(b); upper = t.bnd_upper.(b); reg = b });
-    t.rip <- next
-  | Insn.Bndcl (b, r) ->
-    c.bnd_checks <- c.bnd_checks + 1;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:(Reg.pipe_bnd b) ~s3:nr ~d1:nr
-         ~d2:nr ~lat:1 ~port:Pipeline.p_mpx;
-    if t.bnd_enabled && t.gpr.(r) < t.bnd_lower.(b) then
-      Fault.raise_fault
-        (Fault.Bound_violation
-           { value = t.gpr.(r); lower = t.bnd_lower.(b); upper = t.bnd_upper.(b); reg = b });
-    t.rip <- next
-  | Insn.Bndmov_store (m, b) ->
-    (* Two 8-byte stores; each gets its own memory-event attribution (the
-       first access's TLB/cache outcome used to be overwritten by the
-       second before the single trailing emit). *)
-    let a = ea t m in
-    Mmu.write64_fast t.mmu ~va:a t.bnd_lower.(b);
-    emit_mem t a;
-    Mmu.write64_fast t.mmu ~va:(a + 8) t.bnd_upper.(b);
-    emit_mem t (a + 8);
-    c.stores <- c.stores + 1;
-        Pipeline.issue_fast t.pipe ~s1:(mem_src1 m) ~s2:(mem_src2 m) ~s3:(Reg.pipe_bnd b)
-        ~d1:nr ~d2:nr ~lat:1 ~port:Pipeline.p_store;
-    note_store t a;
-    t.rip <- next
-  | Insn.Bndmov_load (b, m) ->
-    let a = ea t m in
-    let lo = Mmu.read64_fast t.mmu ~va:a in
-    let lat1 = t.mmu.Mmu.last_lat in
-    emit_mem t a;
-    let hi = Mmu.read64_fast t.mmu ~va:(a + 8) in
-    emit_mem t (a + 8);
-    t.bnd_lower.(b) <- lo;
-    t.bnd_upper.(b) <- hi;
-    c.loads <- c.loads + 1;
-    set_load_dep t a;
-    Pipeline.issue_fast t.pipe ~s1:(mem_src1 m) ~s2:(mem_src2 m) ~s3:nr
-         ~d1:(Reg.pipe_bnd b) ~d2:nr ~lat:lat1
-         ~port:Pipeline.p_load;
-    t.rip <- next
   | Insn.Wrpkru ->
     if t.gpr.(Reg.rcx) <> 0 || t.gpr.(Reg.rdx) <> 0 then
       Fault.raise_fault (Fault.Gp_fault "wrpkru requires rcx = rdx = 0");
@@ -706,12 +529,6 @@ let exec t (insn : Insn.t) =
     end;
     Pipeline.issue t.pipe ~s1:(Reg.pipe_gpr Reg.rax) ~d1:Reg.pipe_pkru
       ~serialize:t.wrpkru_serialize ~lat:wrpkru_cost ~port:Pipeline.p_special ();
-    t.rip <- next
-  | Insn.Rdpkru ->
-    if t.gpr.(Reg.rcx) <> 0 then Fault.raise_fault (Fault.Gp_fault "rdpkru requires rcx = 0");
-    t.gpr.(Reg.rax) <- pkru t;
-    Pipeline.issue_fast t.pipe ~s1:Reg.pipe_pkru ~s2:nr ~s3:nr ~d1:(Reg.pipe_gpr Reg.rax)
-         ~d2:nr ~lat:1 ~port:Pipeline.p_alu;
     t.rip <- next
   | Insn.Vmfunc ->
     if not t.virtualized then
@@ -743,130 +560,7 @@ let exec t (insn : Insn.t) =
     Pipeline.issue t.pipe ~serialize:true ~lat:vmcall_cost ~port:Pipeline.p_special ();
     t.vmcall_handler t;
     t.rip <- next
-  | Insn.Movdqa_load (x, m) ->
-    let va = ea t m in
-    Mmu.read_block16_into t.mmu ~va ~dst:t.xmm ~dpos:(32 * x);
-    emit_mem t va;
-    c.loads <- c.loads + 1;
-    set_load_dep t va;
-    Pipeline.issue_fast t.pipe ~s1:(mem_src1 m) ~s2:(mem_src2 m) ~s3:nr
-         ~d1:(Reg.pipe_xmm x) ~d2:nr ~lat:t.mmu.Mmu.last_lat ~port:Pipeline.p_load;
-    t.rip <- next
-  | Insn.Movdqa_store (m, x) ->
-    let va = ea t m in
-    Mmu.write_block16_from t.mmu ~va ~src:t.xmm ~spos:(32 * x);
-    emit_mem t va;
-    c.stores <- c.stores + 1;
-        Pipeline.issue_fast t.pipe ~s1:(mem_src1 m) ~s2:(mem_src2 m) ~s3:(Reg.pipe_xmm x)
-        ~d1:nr ~d2:nr ~lat:1 ~port:Pipeline.p_store;
-    note_store t va;
-    t.rip <- next
-  | Insn.Movq_xr (x, r) ->
-    (* Low lane <- gpr (little-endian, as the rest of the register file
-       expects), high lane <- 0 — without building a 16-byte temporary. *)
-    if Sys.big_endian then Bytes.set_int64_le t.xmm (32 * x) (Int64.of_int t.gpr.(r))
-    else xmm_set64 t.xmm (32 * x) (Int64.of_int t.gpr.(r));
-    xmm_set64 t.xmm ((32 * x) + 8) 0L;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:nr ~s3:nr ~d1:(Reg.pipe_xmm x)
-         ~d2:nr ~lat:2 ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Movq_rx (r, x) ->
-    t.gpr.(r) <-
-      (if Sys.big_endian then Int64.to_int (Bytes.get_int64_le t.xmm (32 * x))
-       else Int64.to_int (xmm_get64 t.xmm (32 * x)));
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm x) ~s2:nr ~s3:nr ~d1:(Reg.pipe_gpr r)
-         ~d2:nr ~lat:2 ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Pxor (d, s) ->
-    xmm_xor_into t d s;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm d) ~s2:(Reg.pipe_xmm s) ~s3:nr
-         ~d1:(Reg.pipe_xmm d) ~d2:nr ~lat:1 ~port:Pipeline.p_alu;
-    t.rip <- next
-  | Insn.Aesenc (d, s) ->
-    aes_binop t Aesni.Aes.aesenc d s ~lat:4;
-    t.rip <- next
-  | Insn.Aesenclast (d, s) ->
-    aes_binop t Aesni.Aes.aesenclast d s ~lat:4;
-    t.rip <- next
-  | Insn.Aesdec (d, s) ->
-    aes_binop t Aesni.Aes.aesdec d s ~lat:4;
-    t.rip <- next
-  | Insn.Aesdeclast (d, s) ->
-    aes_binop t Aesni.Aes.aesdeclast d s ~lat:4;
-    t.rip <- next
-  | Insn.Aeskeygenassist (d, s, imm) ->
-    set_xmm t d (Aesni.Aes.aeskeygenassist (get_xmm t s) imm);
-    c.aes_ops <- c.aes_ops + 1;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm s) ~s2:nr ~s3:nr ~d1:(Reg.pipe_xmm d)
-         ~d2:nr ~lat:12 ~port:Pipeline.p_aes;
-    t.rip <- next
-  | Insn.Aesimc (d, s) ->
-    set_xmm t d (Aesni.Aes.aesimc (get_xmm t s));
-    c.aes_ops <- c.aes_ops + 1;
-    (* Microcoded: occupies the AES unit for its full latency. *)
-    Pipeline.issue t.pipe ~s1:(Reg.pipe_xmm s) ~d1:(Reg.pipe_xmm d) ~lat:8.0 ~busy:8.0
-      ~port:Pipeline.p_aes ();
-    t.rip <- next
-  | Insn.Vext_high (d, s) ->
-    set_xmm t d (get_ymm_high t s);
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm s) ~s2:nr ~s3:nr ~d1:(Reg.pipe_xmm d)
-         ~d2:nr ~lat:3 ~port:Pipeline.p_special;
-    t.rip <- next
-  | Insn.Vins_high (d, s) ->
-    set_ymm_high t d (get_xmm t s);
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm s) ~s2:(Reg.pipe_xmm d) ~s3:nr
-         ~d1:(Reg.pipe_xmm d) ~d2:nr ~lat:3 ~port:Pipeline.p_special;
-    t.rip <- next
-  | Insn.Fp_arith (d, s) ->
-    (* Deterministic stand-in semantics: dst <- dst xor src (low lane). *)
-    xmm_xor_into t d s;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm d) ~s2:(Reg.pipe_xmm s) ~s3:nr
-         ~d1:(Reg.pipe_xmm d) ~d2:nr ~lat:4 ~port:Pipeline.p_fp;
-    t.rip <- next
-
-let deliver t f saved_rip =
-  t.counters.faults <- t.counters.faults + 1;
-  if t.n_event_hooks > 0 then emit t (Event.Fault { rip = saved_rip; fault = f });
-  match t.fault_handler t f with
-  | Fault_halt -> t.halted <- true
-  | Fault_skip -> t.rip <- saved_rip + 1
-  | Fault_reraise -> raise (Fault.Fault f)
-
-(* Execute one fetched instruction with fault handling and EPT-retry. A
-   top-level recursive function (not a closure inside [step]): the closure
-   version allocated on every step, fault or not. *)
-let rec exec_attempt t insn saved n =
-  try exec t insn with
-  | Fault.Fault (Fault.Ept_violation { gpa; access; _ } as f) ->
-    t.counters.vm_exits <- t.counters.vm_exits + 1;
-    if t.n_event_hooks > 0 then emit t (Event.Vm_exit { rip = saved; reason = "ept-violation" });
-    Pipeline.issue t.pipe ~serialize:true ~lat:ept_violation_cost ~port:Pipeline.p_special ();
-    if n < 8 && t.ept_violation_handler t ~gpa ~access then begin
-      t.rip <- saved;
-      exec_attempt t insn saved (n + 1)
-    end
-    else deliver t f saved
-  | Fault.Fault f -> deliver t f saved
-
-let step t =
-  if not t.halted then begin
-    let saved = t.rip in
-    let insn = Program.fetch t.program saved in
-    for i = 0 to t.n_step_hooks - 1 do
-      (snd t.step_hooks.(i)) t insn
-    done;
-    (* Same per-site CPI attribution as the translated loop ([saved] is
-       in-bounds here: the fetch above would have faulted otherwise). *)
-    let map = t.site_of in
-    if saved < Array.length map then
-      Pipeline.set_row t.pipe (Array.unsafe_get map saved);
-    t.counters.insns <- t.counters.insns + 1;
-    exec_attempt t insn saved 0
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Translated execution (predecoded basic blocks)                      *)
-(* ------------------------------------------------------------------ *)
+  | _ -> invalid_arg "Cpu.exec: not a handler-running instruction"
 
 (* Effective address of a general-shape predecoded memory operand
    (-1 = absent register, as in [Insn.mem]). *)
@@ -927,7 +621,7 @@ let[@inline] cached_load t ~va ~d ~slot ~meta =
       end
     end
   in
-  note_mem_class t;
+  emit_mem t va;
   t.gpr.(d) <- v;
   t.counters.loads <- t.counters.loads + 1;
   set_load_dep t va;
@@ -956,19 +650,23 @@ let[@inline] cached_store t ~va ~v ~slot ~meta =
        end
      end
    end);
-  note_mem_class t;
+  emit_mem t va;
   t.counters.stores <- t.counters.stores + 1;
   Pipeline.issue_packed_static t.pipe ~meta;
   note_store t va
 
-(* Execute one predecoded micro-op: the corresponding [exec] arm minus
-   the decode (operands and issue metadata are frozen in the uop), minus
-   the [rip] bookkeeping (the block loop owns it), and minus the
-   [emit_mem] probes (translated execution only runs with zero event
-   hooks, and nothing inside a block body can attach one) — memory arms
-   call [note_mem_class] directly for the CPI-stack hint that [emit_mem]
-   would have supplied. Mutation order within each arm matches [exec]
-   exactly, so a fault unwinds with identical partial state. *)
+(* Execute one predecoded micro-op: the single definition of every
+   non-terminator instruction's semantics, shared by the hooked [step]
+   path and both translated tiers. Operands and issue metadata are frozen
+   in the uop; [rip] belongs to the caller, which arms it to the
+   instruction beforehand, so a fault unwinds with [rip] naming the
+   faulting instruction and memory events carry it. (The trace tier's
+   lazy-rip fast path leaves [rip] stale; it runs only with no hooks
+   attached, so no event can observe that.) Every MMU access is followed
+   by its own [emit_mem]: the CPI-class hint for that access, plus its
+   events when hooks are attached. Within each arm, faults come before
+   any counter bump or issue except where the hardware checks after
+   issuing (the MPX bound checks). *)
 let exec_uop t (u : Ublock.uop) =
   let c = t.counters in
   match u with
@@ -982,7 +680,7 @@ let exec_uop t (u : Ublock.uop) =
   | Ublock.Uload_bd { d; base; disp; meta } ->
     let va = t.gpr.(base) + disp in
     let v = Mmu.read64_fast t.mmu ~va in
-    note_mem_class t;
+    emit_mem t va;
     t.gpr.(d) <- v;
     c.loads <- c.loads + 1;
     set_load_dep t va;
@@ -990,7 +688,7 @@ let exec_uop t (u : Ublock.uop) =
   | Ublock.Uload_gen { d; base; index; scale; disp; meta } ->
     let va = ea_gen t base index scale disp in
     let v = Mmu.read64_fast t.mmu ~va in
-    note_mem_class t;
+    emit_mem t va;
     t.gpr.(d) <- v;
     c.loads <- c.loads + 1;
     set_load_dep t va;
@@ -998,28 +696,28 @@ let exec_uop t (u : Ublock.uop) =
   | Ublock.Ustore_bd { s; base; disp; meta } ->
     let va = t.gpr.(base) + disp in
     Mmu.write64_fast t.mmu ~va t.gpr.(s);
-    note_mem_class t;
+    emit_mem t va;
     c.stores <- c.stores + 1;
     Pipeline.issue_packed_static t.pipe ~meta;
     note_store t va
   | Ublock.Ustore_gen { s; base; index; scale; disp; meta } ->
     let va = ea_gen t base index scale disp in
     Mmu.write64_fast t.mmu ~va t.gpr.(s);
-    note_mem_class t;
+    emit_mem t va;
     c.stores <- c.stores + 1;
     Pipeline.issue_packed_static t.pipe ~meta;
     note_store t va
   | Ublock.Ustorei_bd { imm; base; disp; meta } ->
     let va = t.gpr.(base) + disp in
     Mmu.write64_fast t.mmu ~va imm;
-    note_mem_class t;
+    emit_mem t va;
     c.stores <- c.stores + 1;
     Pipeline.issue_packed_static t.pipe ~meta;
     note_store t va
   | Ublock.Ustorei_gen { imm; base; index; scale; disp; meta } ->
     let va = ea_gen t base index scale disp in
     Mmu.write64_fast t.mmu ~va imm;
-    note_mem_class t;
+    emit_mem t va;
     c.stores <- c.stores + 1;
     Pipeline.issue_packed_static t.pipe ~meta;
     note_store t va
@@ -1027,6 +725,7 @@ let exec_uop t (u : Ublock.uop) =
     t.gpr.(d) <- ea_gen t base index scale disp;
     Pipeline.issue_packed_static t.pipe ~meta
   | Ublock.Ulea32 { d; base; index; scale; disp; meta } ->
+    (* Address-size prefix: truncation happens in address generation. *)
     t.gpr.(d) <- ea_gen t base index scale disp land 0xFFFFFFFF;
     Pipeline.issue_packed_static t.pipe ~meta
   | Ublock.Ualu_rr { op; d; s; meta } ->
@@ -1069,19 +768,22 @@ let exec_uop t (u : Ublock.uop) =
         (Fault.Bound_violation
            { value = t.gpr.(r); lower = t.bnd_lower.(b); upper = t.bnd_upper.(b); reg = b })
   | Ublock.Ubndmov_store { b; base; index; scale; disp; meta } ->
+    (* Two 8-byte stores, each with its own memory-event attribution. *)
     let a = ea_gen t base index scale disp in
     Mmu.write64_fast t.mmu ~va:a t.bnd_lower.(b);
+    emit_mem t a;
     Mmu.write64_fast t.mmu ~va:(a + 8) t.bnd_upper.(b);
-    note_mem_class t;
+    emit_mem t (a + 8);
     c.stores <- c.stores + 1;
     Pipeline.issue_packed_static t.pipe ~meta;
     note_store t a
   | Ublock.Ubndmov_load { b; base; index; scale; disp; meta } ->
     let a = ea_gen t base index scale disp in
     let lo = Mmu.read64_fast t.mmu ~va:a in
-    note_mem_class t;
     let lat1 = t.mmu.Mmu.last_lat in
+    emit_mem t a;
     let hi = Mmu.read64_fast t.mmu ~va:(a + 8) in
+    emit_mem t (a + 8);
     t.bnd_lower.(b) <- lo;
     t.bnd_upper.(b) <- hi;
     c.loads <- c.loads + 1;
@@ -1094,18 +796,20 @@ let exec_uop t (u : Ublock.uop) =
   | Ublock.Umovdqa_load { x; base; index; scale; disp; meta } ->
     let va = ea_gen t base index scale disp in
     Mmu.read_block16_into t.mmu ~va ~dst:t.xmm ~dpos:(32 * x);
-    note_mem_class t;
+    emit_mem t va;
     c.loads <- c.loads + 1;
     set_load_dep t va;
     Pipeline.issue_packed t.pipe ~meta ~lat:t.mmu.Mmu.last_lat
   | Ublock.Umovdqa_store { x; base; index; scale; disp; meta } ->
     let va = ea_gen t base index scale disp in
     Mmu.write_block16_from t.mmu ~va ~src:t.xmm ~spos:(32 * x);
-    note_mem_class t;
+    emit_mem t va;
     c.stores <- c.stores + 1;
     Pipeline.issue_packed_static t.pipe ~meta;
     note_store t va
   | Ublock.Umovq_xr { x; r; meta } ->
+    (* Low lane <- gpr (little-endian, as the rest of the register file
+       expects), high lane <- 0 — without building a 16-byte temporary. *)
     if Sys.big_endian then Bytes.set_int64_le t.xmm (32 * x) (Int64.of_int t.gpr.(r))
     else xmm_set64 t.xmm (32 * x) (Int64.of_int t.gpr.(r));
     xmm_set64 t.xmm ((32 * x) + 8) 0L;
@@ -1116,6 +820,7 @@ let exec_uop t (u : Ublock.uop) =
        else Int64.to_int (xmm_get64 t.xmm (32 * x)));
     Pipeline.issue_packed_static t.pipe ~meta
   | Ublock.Uxmm_xor { d; s; meta } ->
+    (* [Pxor], and [Fp_arith]'s deterministic stand-in semantics. *)
     xmm_xor_into t d s;
     Pipeline.issue_packed_static t.pipe ~meta
   | Ublock.Uaes { f; d; s } -> aes_binop t f d s ~lat:4
@@ -1126,6 +831,7 @@ let exec_uop t (u : Ublock.uop) =
   | Ublock.Uaesimc { d; s } ->
     set_xmm t d (Aesni.Aes.aesimc (get_xmm t s));
     c.aes_ops <- c.aes_ops + 1;
+    (* Microcoded: occupies the AES unit for its full latency. *)
     Pipeline.issue t.pipe ~s1:(Reg.pipe_xmm s) ~d1:(Reg.pipe_xmm d) ~lat:8.0 ~busy:8.0
       ~port:Pipeline.p_aes ()
   | Ublock.Uvext_high { d; s; meta } ->
@@ -1193,6 +899,119 @@ let exec_uop t (u : Ublock.uop) =
         (Fault.Bound_violation
            { value = ea; lower = t.bnd_lower.(b); upper = t.bnd_upper.(b); reg = b })
 
+(* The semantic half of a branch terminator at [t.rip]: counters, stack
+   traffic, the issue, and the next rip, left in [t.rip] once nothing can
+   fault any more. Returns whether the branch was taken — always, except
+   a jcc that falls through. Each loop keeps its own half: profile bumps
+   and successor following. *)
+let exec_branch t (term : Ublock.terminator) =
+  let c = t.counters in
+  match term with
+  | Ublock.Term_jmp { target } ->
+    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
+      ~port:Pipeline.p_branch;
+    t.rip <- target;
+    true
+  | Ublock.Term_jcc { cond; target } ->
+    Pipeline.issue_fast t.pipe ~s1:Reg.pipe_flags ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
+      ~port:Pipeline.p_branch;
+    let taken = eval_cond t cond in
+    t.rip <- (if taken then target else t.rip + 1);
+    taken
+  | Ublock.Term_call { target } ->
+    c.calls <- c.calls + 1;
+    push t (t.rip + 1);
+    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
+      ~port:Pipeline.p_branch;
+    t.rip <- target;
+    true
+  | Ublock.Term_call_r { r } ->
+    c.calls <- c.calls + 1;
+    c.ind_branches <- c.ind_branches + 1;
+    push t (t.rip + 1);
+    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
+      ~port:Pipeline.p_branch;
+    (* Read the target after the push: [r] may be rsp. *)
+    t.rip <- t.gpr.(r);
+    true
+  | Ublock.Term_jmp_r { r } ->
+    c.ind_branches <- c.ind_branches + 1;
+    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
+      ~port:Pipeline.p_branch;
+    t.rip <- t.gpr.(r);
+    true
+  | Ublock.Term_ret ->
+    c.rets <- c.rets + 1;
+    let v = pop t in
+    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
+      ~port:Pipeline.p_branch;
+    t.rip <- v;
+    true
+  | Ublock.Term_halt | Ublock.Term_exec _ | Ublock.Term_fall_off ->
+    invalid_arg "Cpu.exec_branch: not a branch"
+
+let deliver t f saved_rip =
+  t.counters.faults <- t.counters.faults + 1;
+  if t.n_event_hooks > 0 then emit t (Event.Fault { rip = saved_rip; fault = f });
+  match t.fault_handler t f with
+  | Fault_halt -> t.halted <- true
+  | Fault_skip -> t.rip <- saved_rip + 1
+  | Fault_reraise -> raise (Fault.Fault f)
+
+(* Execute one instruction's translation, [t.rip] naming it. *)
+let[@inline] exec_op t (o : Ublock.op) =
+  match o with
+  | Ublock.Op_uop u ->
+    exec_uop t u;
+    t.rip <- t.rip + 1
+  | Ublock.Op_term Ublock.Term_halt -> t.halted <- true
+  | Ublock.Op_term (Ublock.Term_exec insn) -> exec t insn
+  | Ublock.Op_term term -> ignore (exec_branch t term)
+
+(* Execute one instruction with fault handling and EPT-retry. A top-level
+   recursive function (not a closure inside [step]): the closure version
+   allocated on every step, fault or not. *)
+let rec exec_attempt t o saved n =
+  try exec_op t o with
+  | Fault.Fault (Fault.Ept_violation { gpa; access; _ } as f) ->
+    t.counters.vm_exits <- t.counters.vm_exits + 1;
+    if t.n_event_hooks > 0 then emit t (Event.Vm_exit { rip = saved; reason = "ept-violation" });
+    Pipeline.issue t.pipe ~serialize:true ~lat:ept_violation_cost ~port:Pipeline.p_special ();
+    if n < 8 && t.ept_violation_handler t ~gpa ~access then begin
+      t.rip <- saved;
+      exec_attempt t o saved (n + 1)
+    end
+    else deliver t f saved
+  | Fault.Fault f -> deliver t f saved
+
+(* The hooked path: one instruction at a time, so hooks can observe each.
+   The hooks see the fetched [Insn.t]; execution runs the instruction's
+   memoized translation from the same translation cache the fast loop
+   uses, so both paths share one definition of every instruction. The
+   translation is taken from the cache of the program the fetch read, even
+   if a hook swaps programs. *)
+let step t =
+  if not t.halted then begin
+    let saved = t.rip in
+    sync_translations t;
+    let insn = Program.fetch t.program saved in
+    let cache = t.tcache in
+    for i = 0 to t.n_step_hooks - 1 do
+      (snd t.step_hooks.(i)) t insn
+    done;
+    (* Same per-site CPI attribution as the translated loop ([saved] is
+       in-bounds here: the fetch above would have faulted otherwise). *)
+    let map = t.site_of in
+    if saved < Array.length map then
+      Pipeline.set_row t.pipe (Array.unsafe_get map saved);
+    t.counters.insns <- t.counters.insns + 1;
+    exec_attempt t (Ublock.op cache saved) saved 0
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Translated execution (predecoded basic blocks)                      *)
+(* ------------------------------------------------------------------ *)
+
 (* Follow a static chain edge out of [blk]: honor the cached successor
    link when generation-fresh, otherwise look the target up (compiling on
    demand) and memoize the link. A target outside the code array ends the
@@ -1214,12 +1033,12 @@ let follow_dynamic cache bcell chaining target =
   else chaining := false
 
 (* Execute translated blocks starting at [b0], following chain links
-   until fuel runs out, the CPU halts, a serializing terminator needs the
-   interpreter, or control leaves the code array. Counting discipline is
-   the interpreter loop's: [insns] incremented before executing each
-   instruction (so a fault unwinds with it counted), [budget] decremented
-   after it completes. [t.rip] is re-armed before every uop and before
-   the terminator, so faults always unwind with [rip] naming the faulting
+   until fuel runs out, the CPU halts, a handler-running terminator ends
+   the chain, or control leaves the code array. Counting discipline is
+   [step]'s: [insns] incremented before executing each instruction (so a
+   fault unwinds with it counted), [budget] decremented after it
+   completes. [t.rip] is re-armed before every uop and before the
+   terminator, so faults always unwind with [rip] naming the faulting
    instruction and the EPT-retry handler can resume precisely. *)
 let exec_block_chain t cache b0 budget =
   let c = t.counters in
@@ -1280,80 +1099,13 @@ let exec_block_chain t cache b0 budget =
       | Ublock.Term_fall_off ->
         (* Ran off the end of the code array: the dispatch loop turns
            this rip into the fault [Program.fetch] raises, uncounted,
-           exactly as the interpreter loop's fetch would. *)
+           exactly as [step]'s fetch would. *)
         chaining := false
       | Ublock.Term_halt ->
         c.insns <- c.insns + 1;
         t.halted <- true;
         decr budget;
         chaining := false
-      | Ublock.Term_jmp { target } ->
-        c.insns <- c.insns + 1;
-        blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count;
-        Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-          ~port:Pipeline.p_branch;
-        t.rip <- target;
-        decr budget;
-        follow_static cache blk bcell chaining target ~taken:true
-      | Ublock.Term_jcc { cond; target } ->
-        c.insns <- c.insns + 1;
-        Pipeline.issue_fast t.pipe ~s1:Reg.pipe_flags ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-          ~port:Pipeline.p_branch;
-        decr budget;
-        if eval_cond t cond then begin
-          blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count;
-          t.rip <- target;
-          follow_static cache blk bcell chaining target ~taken:true
-        end
-        else begin
-          blk.Ublock.fall_count <- Ublock.bump blk.Ublock.fall_count;
-          let fall = blk.Ublock.term_idx + 1 in
-          t.rip <- fall;
-          follow_static cache blk bcell chaining fall ~taken:false
-        end
-      | Ublock.Term_call { target } ->
-        c.insns <- c.insns + 1;
-        c.calls <- c.calls + 1;
-        blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count;
-        push t (blk.Ublock.term_idx + 1);
-        Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-          ~port:Pipeline.p_branch;
-        t.rip <- target;
-        decr budget;
-        follow_static cache blk bcell chaining target ~taken:true
-      | Ublock.Term_call_r { r } ->
-        c.insns <- c.insns + 1;
-        c.calls <- c.calls + 1;
-        c.ind_branches <- c.ind_branches + 1;
-        push t (blk.Ublock.term_idx + 1);
-        Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-          ~port:Pipeline.p_branch;
-        (* Read the target after the push: [r] may be rsp. *)
-        let target = t.gpr.(r) in
-        Ublock.note_dyn blk target;
-        t.rip <- target;
-        decr budget;
-        follow_dynamic cache bcell chaining target
-      | Ublock.Term_jmp_r { r } ->
-        c.insns <- c.insns + 1;
-        c.ind_branches <- c.ind_branches + 1;
-        Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-          ~port:Pipeline.p_branch;
-        let target = t.gpr.(r) in
-        Ublock.note_dyn blk target;
-        t.rip <- target;
-        decr budget;
-        follow_dynamic cache bcell chaining target
-      | Ublock.Term_ret ->
-        c.insns <- c.insns + 1;
-        c.rets <- c.rets + 1;
-        let v = pop t in
-        Ublock.note_dyn blk v;
-        Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-          ~port:Pipeline.p_branch;
-        t.rip <- v;
-        decr budget;
-        follow_dynamic cache bcell chaining v
       | Ublock.Term_exec insn ->
         c.insns <- c.insns + 1;
         exec t insn;
@@ -1362,6 +1114,19 @@ let exec_block_chain t cache b0 budget =
            hooks or swapped the program, so always fall back to the
            dispatch loop, which re-checks both. *)
         chaining := false
+      | (Ublock.Term_jmp _ | Ublock.Term_jcc _ | Ublock.Term_call _) as term ->
+        c.insns <- c.insns + 1;
+        let taken = exec_branch t term in
+        decr budget;
+        if taken then blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count
+        else blk.Ublock.fall_count <- Ublock.bump blk.Ublock.fall_count;
+        follow_static cache blk bcell chaining t.rip ~taken
+      | (Ublock.Term_call_r _ | Ublock.Term_jmp_r _ | Ublock.Term_ret) as term ->
+        c.insns <- c.insns + 1;
+        ignore (exec_branch t term);
+        decr budget;
+        Ublock.note_dyn blk t.rip;
+        follow_dynamic cache bcell chaining t.rip
     end;
     (* If a superblock is registered at the next block's entry, stop
        chaining so the dispatch loop tiers up ([t.rip] already names that
@@ -1374,12 +1139,6 @@ let exec_block_chain t cache b0 budget =
 (* ------------------------------------------------------------------ *)
 (* Trace-tier execution (superblocks)                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* Index of [rip] in a filtered segment's rip table. Cold path: only runs
-   when a fault unwinds out of a hoist-filtered segment. The rip was
-   armed from this very table, so the scan always terminates. *)
-let rec rip_index rips rip i =
-  if Array.unsafe_get rips i = rip then i else rip_index rips rip (i + 1)
 
 (* Execute superblock [tr] from its entry until a side exit, its final
    predicted exit, fuel exhaustion, or a fault. Observationally identical
@@ -1423,24 +1182,6 @@ let exec_trace t (tr : Trace.trace) budget =
   tr.Trace.tr_execs <- Ublock.bump tr.Trace.tr_execs;
   let cyc0 = Pipeline.cycles t.pipe in
   try
-    (* Hoisted-check prologue: empty unless hoist facts were installed.
-       Runs once per trace entry (internal loop restarts skip it), with
-       eager per-insn accounting — the dispatch guard already ensured
-       fuel cannot run out inside it. *)
-    let pro = tr.Trace.tr_prologue in
-    let npro = Array.length pro in
-    if npro > 0 then begin
-      let pro_rips = tr.Trace.tr_prologue_rips in
-      for i = 0 to npro - 1 do
-        let rip = Array.unsafe_get pro_rips i in
-        t.rip <- rip;
-        if mapped then Pipeline.set_row t.pipe (Array.unsafe_get map rip);
-        c.insns <- c.insns + 1;
-        tier.Trace.covered_insns <- tier.Trace.covered_insns + 1;
-        exec_uop t (Array.unsafe_get pro i);
-        decr budget
-      done
-    end;
     let segs = tr.Trace.tr_segs in
     let last = Array.length segs - 1 in
     let k = ref 0 in
@@ -1453,13 +1194,13 @@ let exec_trace t (tr : Trace.trace) budget =
        successor uops executed must [cmp] be re-materialized from the
        register file before stopping. *)
     let pending = ref (-1) in
-    (* Shared terminator stage: mirror of [exec_block_chain]'s terminator
-       arms, with the successor lookup replaced by the baked prediction.
-       [advance] follows the predicted edge: next segment, loop restart,
-       or — past the final segment — fall back to dispatch with [rip]
-       already at the predicted continuation. A failed prediction guard is
-       a side exit: [rip] is architecturally correct either way, so the
-       fall-back costs nothing but the tier switch. *)
+    (* Exit stage: the block's own terminator ([exec_branch], as in the
+       block tier), then the baked prediction in place of the successor
+       lookup — next segment, loop restart, or, past the final segment,
+       fall back to dispatch with [rip] already at the continuation. A
+       failed prediction guard is a side exit: [rip] is architecturally
+       correct either way, so the fall-back costs nothing but the tier
+       switch. *)
     let exec_exit sg (blk : Ublock.block) =
       let ti = blk.Ublock.term_idx in
       t.rip <- ti;
@@ -1467,77 +1208,28 @@ let exec_trace t (tr : Trace.trace) budget =
         Pipeline.set_row t.pipe (Array.unsafe_get map ti);
       c.insns <- c.insns + 1;
       tier.Trace.covered_insns <- tier.Trace.covered_insns + 1;
-      let advance () =
-        if !k = last then begin
-          if tr.Trace.tr_loops then k := 0 else running := false
-        end
-        else incr k
+      let taken = exec_branch t blk.Ublock.term in
+      decr budget;
+      let predicted =
+        match sg.Trace.sg_exit with
+        | Trace.X_always ->
+          blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count;
+          true
+        | Trace.X_jcc { predict_taken } ->
+          if taken then blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count
+          else blk.Ublock.fall_count <- Ublock.bump blk.Ublock.fall_count;
+          taken = predict_taken
+        | Trace.X_indirect { predicted } ->
+          Ublock.note_dyn blk t.rip;
+          t.rip = predicted
       in
-      let side_exit () =
+      if not predicted then begin
         tr.Trace.tr_side_exits <- Ublock.bump tr.Trace.tr_side_exits;
         running := false
-      in
-      match sg.Trace.sg_exit with
-      | Trace.X_jmp { target } ->
-        blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count;
-        Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-          ~port:Pipeline.p_branch;
-        t.rip <- target;
-        decr budget;
-        advance ()
-      | Trace.X_jcc { cond; target; fall; predict_taken } ->
-        Pipeline.issue_fast t.pipe ~s1:Reg.pipe_flags ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-          ~port:Pipeline.p_branch;
-        decr budget;
-        let taken = eval_cond t cond in
-        if taken then begin
-          blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count;
-          t.rip <- target
-        end
-        else begin
-          blk.Ublock.fall_count <- Ublock.bump blk.Ublock.fall_count;
-          t.rip <- fall
-        end;
-        if taken = predict_taken then advance () else side_exit ()
-      | Trace.X_call { target; retaddr } ->
-        c.calls <- c.calls + 1;
-        blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count;
-        push t retaddr;
-        Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-          ~port:Pipeline.p_branch;
-        t.rip <- target;
-        decr budget;
-        advance ()
-      | Trace.X_call_r { r; retaddr; predicted } ->
-        c.calls <- c.calls + 1;
-        c.ind_branches <- c.ind_branches + 1;
-        push t retaddr;
-        Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:nr ~s3:nr ~d1:nr ~d2:nr
-          ~lat:1 ~port:Pipeline.p_branch;
-        (* Read the target after the push: [r] may be rsp. *)
-        let target = t.gpr.(r) in
-        Ublock.note_dyn blk target;
-        t.rip <- target;
-        decr budget;
-        if target = predicted then advance () else side_exit ()
-      | Trace.X_jmp_r { r; predicted } ->
-        c.ind_branches <- c.ind_branches + 1;
-        Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:nr ~s3:nr ~d1:nr ~d2:nr
-          ~lat:1 ~port:Pipeline.p_branch;
-        let target = t.gpr.(r) in
-        Ublock.note_dyn blk target;
-        t.rip <- target;
-        decr budget;
-        if target = predicted then advance () else side_exit ()
-      | Trace.X_ret { predicted } ->
-        c.rets <- c.rets + 1;
-        let v = pop t in
-        Ublock.note_dyn blk v;
-        Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-          ~port:Pipeline.p_branch;
-        t.rip <- v;
-        decr budget;
-        if v = predicted then advance () else side_exit ()
+      end
+      else if !k < last then incr k
+      else if tr.Trace.tr_loops then k := 0
+      else running := false
     in
     while !running do
       let sg = Array.unsafe_get segs !k in
@@ -1556,7 +1248,6 @@ let exec_trace t (tr : Trace.trace) budget =
            from the issue delta against [rec_issue0]. *)
         pending := -1;
         tier.Trace.rec_entry <- blk.Ublock.entry;
-        tier.Trace.rec_rips <- sg.Trace.sg_rips;
         tier.Trace.rec_issue0 <- Pipeline.instructions t.pipe;
         tier.Trace.rec_lazy <- true;
         tier.Trace.rec_active <- true;
@@ -1579,12 +1270,11 @@ let exec_trace t (tr : Trace.trace) budget =
         exec_exit sg blk;
         if o.Traceopt.os_pend >= 0 && !running then pending := o.Traceopt.os_pend
       | _ ->
-        (* Careful path: the unoptimized body with eager per-uop rip
+        (* Careful path: the block's own body with eager per-uop rip
            re-arm. Taken whenever fuel could run out inside the segment,
            when per-site CPI attribution is on (row switching needs the
            per-uop rip anyway), or when the optimizer is off. *)
-        let uops = sg.Trace.sg_uops in
-        let rips = sg.Trace.sg_rips in
+        let uops = blk.Ublock.uops in
         let n = Array.length uops in
         let entry = blk.Ublock.entry in
         let lim = if b0 < n then b0 else n in
@@ -1596,16 +1286,12 @@ let exec_trace t (tr : Trace.trace) budget =
           pending := -1
         end;
         tier.Trace.rec_entry <- entry;
-        tier.Trace.rec_rips <- rips;
         tier.Trace.rec_lazy <- false;
         tier.Trace.rec_active <- true;
-      (* Four copies of the segment body loop: site-mapped × identity-rip,
-         so the common case (no CPI attribution, nothing hoisted) runs
-         with zero per-uop overhead beyond the block tier's own loop —
-         minus its counter traffic. *)
-      if rips == Trace.no_rips then begin
-        if mapped then begin
-          let i = ref 0 in
+        (* Two copies of the body loop, as in the block tier: the
+           un-mapped common case pays nothing per uop for attribution. *)
+        let i = ref 0 in
+        if mapped then
           while !i < lim do
             let rip = entry + !i in
             t.rip <- rip;
@@ -1613,49 +1299,27 @@ let exec_trace t (tr : Trace.trace) budget =
             exec_uop t (Array.unsafe_get uops !i);
             incr i
           done
-        end
-        else begin
-          let i = ref 0 in
+        else
           while !i < lim do
             t.rip <- entry + !i;
             exec_uop t (Array.unsafe_get uops !i);
             incr i
-          done
+          done;
+        tier.Trace.rec_active <- false;
+        c.insns <- c.insns + lim;
+        budget := b0 - lim;
+        tier.Trace.covered_insns <- tier.Trace.covered_insns + lim;
+        if lim < n then begin
+          (* Fuel exhausted mid-segment: resume at the first unexecuted
+             instruction, exactly as the block tier does. *)
+          t.rip <- entry + lim;
+          running := false
         end
-      end
-      else if mapped then begin
-        let i = ref 0 in
-        while !i < lim do
-          let rip = Array.unsafe_get rips !i in
-          t.rip <- rip;
-          Pipeline.set_row t.pipe (Array.unsafe_get map rip);
-          exec_uop t (Array.unsafe_get uops !i);
-          incr i
-        done
-      end
-      else begin
-        let i = ref 0 in
-        while !i < lim do
-          t.rip <- Array.unsafe_get rips !i;
-          exec_uop t (Array.unsafe_get uops !i);
-          incr i
-        done
-      end;
-      tier.Trace.rec_active <- false;
-      c.insns <- c.insns + lim;
-      budget := b0 - lim;
-      tier.Trace.covered_insns <- tier.Trace.covered_insns + lim;
-      if lim < n then begin
-        (* Fuel exhausted mid-segment: resume at the first unexecuted
-           instruction, exactly as the block tier does. *)
-        t.rip <- (if rips == Trace.no_rips then entry + lim else Array.unsafe_get rips lim);
-        running := false
-      end
-      else if !budget <= 0 then begin
-        t.rip <- blk.Ublock.term_idx;
-        running := false
-      end
-      else exec_exit sg blk
+        else if !budget <= 0 then begin
+          t.rip <- blk.Ublock.term_idx;
+          running := false
+        end
+        else exec_exit sg blk
     done;
     tr.Trace.tr_cycles <- tr.Trace.tr_cycles +. (Pipeline.cycles t.pipe -. cyc0)
   with Fault.Fault _ as e ->
@@ -1678,13 +1342,10 @@ let exec_trace t (tr : Trace.trace) budget =
             | Fault.Fault (Fault.Bound_violation _) -> issued - 1
             | _ -> issued
           in
-          t.rip <-
-            (if tier.Trace.rec_rips == Trace.no_rips then tier.Trace.rec_entry + j
-             else Array.unsafe_get tier.Trace.rec_rips j);
+          t.rip <- tier.Trace.rec_entry + j;
           j
         end
-        else if tier.Trace.rec_rips == Trace.no_rips then t.rip - tier.Trace.rec_entry
-        else rip_index tier.Trace.rec_rips t.rip 0
+        else t.rip - tier.Trace.rec_entry
       in
       c.insns <- c.insns + j + 1;
       budget := !budget - j;
@@ -1703,14 +1364,13 @@ exception Fetch_out_of_code
 
 (* The no-hook fast loop: [step] minus the hook scan, minus the
    per-instruction exception frame (one [try] per fault, not per
-   instruction), and with fetch+decode amortized away entirely — control
-   dispatches into predecoded basic blocks ([Ublock]) that chain to their
-   successors, so the per-instruction work is a tag dispatch over uops
-   rather than a fetch and a full [Insn.t] match. Unwinding to a single
+   instruction), and with the per-instruction fetch and memo lookup
+   amortized away — control dispatches into predecoded basic blocks
+   ([Ublock]) that chain to their successors. Unwinding to a single
    handler is sound because the block executor re-arms [t.rip] before
-   every uop (and [exec] arms update it only after their last faulting
-   operation), so when a [Fault.Fault] arrives here [t.rip] still names
-   the faulting instruction.
+   every uop (and [exec]/[exec_branch] update it only after their last
+   faulting operation), so when a [Fault.Fault] arrives here [t.rip]
+   still names the faulting instruction.
 
    Entered only while both hook lists are empty. The emptiness re-check
    per chain entry is two integer loads — what it buys is that handlers
@@ -1734,28 +1394,18 @@ let run_fast t budget =
         do
           (* Handlers may swap the program mid-run; cache identity is
              re-checked at every chain entry (chains end at every
-             handler-running instruction). The trace tier swaps with it. *)
-          if not (Ublock.owns t.tcache t.program) then begin
-            t.tcache <- Ublock.create t.program;
-            t.traces <- Trace.recreate t.traces ~code_len:(Program.length t.program)
-          end;
+             handler-running instruction). *)
+          sync_translations t;
           let cache = t.tcache in
           let rip = t.rip in
           if rip >= 0 && rip < Ublock.code_length cache then begin
             (* Tier dispatch: a live superblock at this entry wins over
                the block tier. The generation re-check makes stale
                dispatch impossible even if eager invalidation were ever
-               bypassed; the prologue guard keeps hoisted execution out
-               of quanta too small to retire the prologue plus one body
-               instruction (mid-prologue has no resumable rip). *)
+               bypassed. *)
             let tr = Trace.at t.traces rip in
-            if
-              tr != Trace.dummy_trace
-              && tr.Trace.tr_gen = Ublock.generation cache
-              &&
-              let npro = Array.length tr.Trace.tr_prologue in
-              npro = 0 || npro < !budget
-            then exec_trace t tr budget
+            if tr != Trace.dummy_trace && tr.Trace.tr_gen = Ublock.generation cache then
+              exec_trace t tr budget
             else exec_block_chain t cache (Ublock.get cache rip) budget
           end
           else raise Fetch_out_of_code

@@ -76,9 +76,10 @@ type t = {
           attribution. Install via {!set_site_rows}. *)
   mutable program : Program.t;
   mutable tcache : Ublock.cache;
-      (** Predecoded basic-block translations of [program] (see
-          {!Ublock}): the no-hook fast loop executes these instead of
-          re-decoding [Insn.t]s. Swapped automatically when [program]
+      (** Predecoded translations of [program] (see {!Ublock}): every
+          loop executes these instead of re-decoding [Insn.t]s — the
+          no-hook fast loop as chained basic blocks, [step] one
+          instruction at a time. Swapped automatically when [program]
           changes identity; {!flush_translations} invalidates it after
           in-place mutation of the code array. *)
   mutable traces : Trace.tier;
@@ -135,8 +136,9 @@ val load_program : t -> Program.t -> unit
 
 val flush_translations : t -> unit
 (** Invalidate every cached translation, eagerly: bump the block cache's
-    generation, sever every cached block→block successor link, and tear
-    down all superblocks (plus installed hoist facts). After a flush no
+    generation (which also reaches the hooked path's per-instruction
+    translations), sever every cached block→block successor link, and
+    tear down all superblocks. After a flush no
     stale block, chain link, trace, or side-exit stub can execute — not
     even transiently. Required only after mutating the installed
     program's code array in place; installing a different program via
@@ -159,14 +161,6 @@ val set_trace_fusion : t -> bool -> unit
     {!Trace.set_optimize}. *)
 
 val trace_fusion : t -> bool
-
-val install_trace_hoist_facts : t -> bool array -> unit
-(** Install per-rip loop-invariance facts licensing gate-check hoisting
-    to trace entry ([facts.(rip) = true] ⇒ the bounds check at [rip] may
-    run once per trace entry instead of once per iteration). Off by
-    default; intended to be fed from [Gate_analysis]-derived facts by the
-    memsentry layer. Changes modeled cost (that is the point), so leave
-    uninstalled for byte-identical tier comparisons. *)
 
 (** {2 Hooks and events}
 
@@ -237,7 +231,10 @@ val set_pkru : t -> int -> unit
 (** {2 Execution} *)
 
 val step : t -> unit
-(** Execute one instruction (with fault handling and EPT-retry). *)
+(** Execute one instruction (with fault handling and EPT-retry): fetch it,
+    run the step hooks on it, then execute its memoized translation — the
+    same uop the fast loop runs, so attaching hooks never changes what an
+    instruction does. *)
 
 val run : ?fuel:int -> t -> status
 (** Execute until [Halt] or [fuel] instructions (default 50 million). *)

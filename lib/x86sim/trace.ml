@@ -1,20 +1,15 @@
 (* Profile-guided superblock formation and registry. The hot executor
    lives in Cpu.exec_trace (it needs the uop interpreter); everything
-   that can be decided off the hot path — which chains to stitch, which
-   checks to hoist, when to tear traces down — lives here. *)
+   that can be decided off the hot path — which chains to stitch, when to
+   tear traces down — lives here. *)
 
 type exit_kind =
-  | X_jmp of { target : int }
-  | X_jcc of { cond : Insn.cond; target : int; fall : int; predict_taken : bool }
-  | X_call of { target : int; retaddr : int }
-  | X_call_r of { r : int; retaddr : int; predicted : int }
-  | X_jmp_r of { r : int; predicted : int }
-  | X_ret of { predicted : int }
+  | X_always
+  | X_jcc of { predict_taken : bool }
+  | X_indirect of { predicted : int }
 
 type seg = {
   sg_blk : Ublock.block;
-  sg_uops : Ublock.uop array;
-  sg_rips : int array;
   sg_exit : exit_kind;
   sg_opt : Traceopt.oseg option;
 }
@@ -24,8 +19,6 @@ type trace = {
   tr_gen : int;
   tr_segs : seg array;
   tr_loops : bool;
-  tr_prologue : Ublock.uop array;
-  tr_prologue_rips : int array;
   tr_insns : int;
   tr_slot_vpn : int array;
   tr_slot_info : int array;
@@ -36,18 +29,12 @@ type trace = {
   mutable tr_live : bool;
 }
 
-(* Zero-length arrays are shared atoms, but the executor compares with
-   physical equality, so pin one canonical instance. *)
-let no_rips : int array = [||]
-
 let dummy_trace =
   {
     tr_entry = -1;
     tr_gen = -1;
     tr_segs = [||];
     tr_loops = false;
-    tr_prologue = [||];
-    tr_prologue_rips = no_rips;
     tr_insns = 0;
     tr_slot_vpn = [||];
     tr_slot_info = [||];
@@ -70,7 +57,6 @@ type tier = {
   mutable formed_count : int;
   mutable invalidated_count : int;
   mutable covered_insns : int;
-  mutable hoisted_checks : int;
   mutable fused_uops : int;
   mutable cached_slots : int;
   mutable dead_flags : int;
@@ -81,9 +67,7 @@ type tier = {
   mutable abort_indirect_minority : int;
   mutable abort_cap_hit : int;
   mutable abort_handler_term : int;
-  mutable hoist_facts : bool array;
   mutable rec_entry : int;
-  mutable rec_rips : int array;
   mutable rec_active : bool;
   mutable rec_lazy : bool;
   mutable rec_issue0 : int;
@@ -124,7 +108,6 @@ let create ~code_len =
     formed_count = 0;
     invalidated_count = 0;
     covered_insns = 0;
-    hoisted_checks = 0;
     fused_uops = 0;
     cached_slots = 0;
     dead_flags = 0;
@@ -135,9 +118,7 @@ let create ~code_len =
     abort_indirect_minority = 0;
     abort_cap_hit = 0;
     abort_handler_term = 0;
-    hoist_facts = [||];
     rec_entry = 0;
-    rec_rips = no_rips;
     rec_active = false;
     rec_lazy = false;
     rec_issue0 = 0;
@@ -155,18 +136,13 @@ let recreate old ~code_len =
 let[@inline] at tier entry = Array.unsafe_get tier.by_entry entry
 
 let invalidate_all tier =
-  (match tier.formed with
-  | [] -> ()
-  | live ->
-    List.iter
-      (fun tr ->
-        tr.tr_live <- false;
-        tier.by_entry.(tr.tr_entry) <- dummy_trace;
-        tier.invalidated_count <- tier.invalidated_count + 1)
-      live;
-    tier.formed <- []);
-  (* A flush means the code may have changed under the facts. *)
-  tier.hoist_facts <- [||]
+  List.iter
+    (fun tr ->
+      tr.tr_live <- false;
+      tier.by_entry.(tr.tr_entry) <- dummy_trace;
+      tier.invalidated_count <- tier.invalidated_count + 1)
+    tier.formed;
+  tier.formed <- []
 
 let set_hot_threshold tier n = tier.hot_threshold <- max 1 n
 
@@ -192,11 +168,6 @@ let set_optimize tier on =
 
 let set_jcc_bias tier n = tier.jcc_bias <- max 1 n
 
-let install_hoist_facts tier facts =
-  (* Re-form under the new facts; live traces were built without them. *)
-  invalidate_all tier;
-  tier.hoist_facts <- facts
-
 (* ------------------------------------------------------------------ *)
 (* Formation                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -210,44 +181,21 @@ let install_hoist_facts tier facts =
 let predict tier (b : Ublock.block) : (exit_kind * int) option =
   let ms = tier.min_samples in
   match b.Ublock.term with
-  | Ublock.Term_jmp { target } -> Some (X_jmp { target }, target)
-  | Ublock.Term_call { target } ->
-    Some (X_call { target; retaddr = b.Ublock.term_idx + 1 }, target)
-  | Ublock.Term_jcc { cond; target } ->
+  | Ublock.Term_jmp { target } | Ublock.Term_call { target } -> Some (X_always, target)
+  | Ublock.Term_jcc { target; _ } ->
     let fall = b.Ublock.term_idx + 1 in
     let bias = tier.jcc_bias in
     let tk = b.Ublock.taken_count and fl = b.Ublock.fall_count in
-    if tk + fl >= ms && tk >= bias * fl then
-      Some (X_jcc { cond; target; fall; predict_taken = true }, target)
-    else if tk + fl >= ms && fl >= bias * tk then
-      Some (X_jcc { cond; target; fall; predict_taken = false }, fall)
+    if tk + fl >= ms && tk >= bias * fl then Some (X_jcc { predict_taken = true }, target)
+    else if tk + fl >= ms && fl >= bias * tk then Some (X_jcc { predict_taken = false }, fall)
     else begin
       tier.abort_cold_branch <- tier.abort_cold_branch + 1;
       None
     end
-  | Ublock.Term_call_r { r } ->
+  | Ublock.Term_call_r _ | Ublock.Term_jmp_r _ | Ublock.Term_ret ->
     if b.Ublock.dyn_total >= ms && 2 * b.Ublock.dyn_votes >= b.Ublock.dyn_total
        && b.Ublock.dyn_target >= 0
-    then
-      Some
-        ( X_call_r { r; retaddr = b.Ublock.term_idx + 1; predicted = b.Ublock.dyn_target },
-          b.Ublock.dyn_target )
-    else begin
-      tier.abort_indirect_minority <- tier.abort_indirect_minority + 1;
-      None
-    end
-  | Ublock.Term_jmp_r { r } ->
-    if b.Ublock.dyn_total >= ms && 2 * b.Ublock.dyn_votes >= b.Ublock.dyn_total
-       && b.Ublock.dyn_target >= 0
-    then Some (X_jmp_r { r; predicted = b.Ublock.dyn_target }, b.Ublock.dyn_target)
-    else begin
-      tier.abort_indirect_minority <- tier.abort_indirect_minority + 1;
-      None
-    end
-  | Ublock.Term_ret ->
-    if b.Ublock.dyn_total >= ms && 2 * b.Ublock.dyn_votes >= b.Ublock.dyn_total
-       && b.Ublock.dyn_target >= 0
-    then Some (X_ret { predicted = b.Ublock.dyn_target }, b.Ublock.dyn_target)
+    then Some (X_indirect { predicted = b.Ublock.dyn_target }, b.Ublock.dyn_target)
     else begin
       tier.abort_indirect_minority <- tier.abort_indirect_minority + 1;
       None
@@ -255,129 +203,6 @@ let predict tier (b : Ublock.block) : (exit_kind * int) option =
   | Ublock.Term_halt | Ublock.Term_exec _ | Ublock.Term_fall_off ->
     tier.abort_handler_term <- tier.abort_handler_term + 1;
     None
-
-(* {2 Gate-check hoisting} *)
-
-(* Whether [u] writes general register [r] / bound register [b]: the
-   kill-set test behind hoist soundness. Conservative by construction —
-   anything not listed is assumed to write nothing relevant (stores,
-   compares, checks), and vector ops touch only xmm state. *)
-let writes_gpr (u : Ublock.uop) r =
-  match u with
-  | Ublock.Umov_rr { d; _ }
-  | Ublock.Umov_ri { d; _ }
-  | Ublock.Uload_bd { d; _ }
-  | Ublock.Uload_gen { d; _ }
-  | Ublock.Ulea { d; _ }
-  | Ublock.Ulea32 { d; _ }
-  | Ublock.Ualu_rr { d; _ }
-  | Ublock.Ualu_ri { d; _ }
-  | Ublock.Upop { d }
-  | Ublock.Umovq_rx { r = d; _ } -> d = r
-  | Ublock.Urdpkru _ -> r = Reg.rax
-  | _ -> false
-
-let writes_bnd (u : Ublock.uop) b =
-  match u with
-  | Ublock.Ubnd_set { b = d; _ } | Ublock.Ubndmov_load { b = d; _ } -> d = b
-  | _ -> false
-
-(* Uop kinds eligible for prologue motion: the MPX check-site shape
-   ([lea scratch, ea; bndcu b, scratch] — the lea must travel with the
-   check it feeds, and the in-body access through scratch then reads the
-   prologue-computed value). All are free of memory writes and flag
-   ([cmp]) effects, so running them once at entry instead of every
-   restart perturbs nothing but their own cost — which is the point. *)
-let hoist_candidate (u : Ublock.uop) =
-  match u with Ublock.Ulea _ | Ublock.Ulea32 _ | Ublock.Ubndc _ -> true | _ -> false
-
-(* gprs a candidate reads / writes: the registers whose stability across
-   loop restarts the installed fact asserts and [plan_hoist] re-verifies. *)
-let candidate_regs (u : Ublock.uop) =
-  match u with
-  | Ublock.Ulea { d; base; index; _ } | Ublock.Ulea32 { d; base; index; _ } ->
-    d :: List.filter (fun r -> r >= 0) [ base; index ]
-  | Ublock.Ubndc { r; _ } -> [ r ]
-  | _ -> []
-
-(* Decide the hoist set for a candidate trace: every fact-marked
-   candidate uop across all [blocks], taken as one group, or [None] if
-   the group fails the defensive soundness check. Facts assert
-   loop-invariance (the embedding layer derived them from the same
-   conditions [Gate_opt]'s static check motion proves); this check
-   re-establishes the part that matters for trace semantics without
-   trusting the fact blindly:
-   - the group must contain a bounds check (hoisting a bare lea is not
-     check motion), and no register the group reads or writes may be
-     written by any uop {e outside} the group, anywhere in the trace
-     body — so the prologue-computed scratch value is exactly what every
-     restart would have recomputed;
-   - no uop in the body may write a hoisted check's bound register;
-   - rsp never qualifies: call/ret/push/pop move it implicitly, past
-     [writes_gpr]'s sight. *)
-let plan_hoist tier (blocks : Ublock.block list) =
-  let facts = tier.hoist_facts in
-  let nfacts = Array.length facts in
-  let flags =
-    List.map
-      (fun (blk : Ublock.block) ->
-        let body = blk.Ublock.uops in
-        Array.init (Array.length body) (fun i ->
-          let rip = blk.Ublock.entry + i in
-          rip < nfacts && Array.unsafe_get facts rip && hoist_candidate body.(i)))
-      blocks
-  in
-  let hoisted =
-    List.concat
-      (List.map2
-         (fun (blk : Ublock.block) fl ->
-           List.filteri (fun i _ -> fl.(i)) (Array.to_list blk.Ublock.uops))
-         blocks flags)
-  in
-  let bnds = List.filter_map (function Ublock.Ubndc { b; _ } -> Some b | _ -> None) hoisted in
-  let regs = List.concat_map candidate_regs hoisted in
-  let sound =
-    bnds <> []
-    && List.for_all (fun r -> r <> Reg.rsp) regs
-    && List.for_all2
-         (fun (blk : Ublock.block) fl ->
-           let body = blk.Ublock.uops in
-           let ok = ref true in
-           for i = 0 to Array.length body - 1 do
-             if not fl.(i) then begin
-               let v = Array.unsafe_get body i in
-               if List.exists (fun r -> writes_gpr v r) regs
-                  || List.exists (fun b -> writes_bnd v b) bnds
-               then ok := false
-             end
-           done;
-           !ok)
-         blocks flags
-  in
-  if sound then Some flags else None
-
-(* Split [blk]'s body along the planned hoist [flags] into (kept uops +
-   their rips, hoisted uops + rips). Identity mapping is preserved
-   ([no_rips]) when nothing was hoisted from this block. *)
-let apply_hoist (blk : Ublock.block) flags =
-  let body = blk.Ublock.uops in
-  let n = Array.length body in
-  if not (Array.exists (fun x -> x) flags) then (body, no_rips, [], [])
-  else begin
-    let kept = ref [] and kept_rips = ref [] and pro = ref [] and pro_rips = ref [] in
-    for i = n - 1 downto 0 do
-      let rip = blk.Ublock.entry + i in
-      if flags.(i) then begin
-        pro := body.(i) :: !pro;
-        pro_rips := rip :: !pro_rips
-      end
-      else begin
-        kept := body.(i) :: !kept;
-        kept_rips := rip :: !kept_rips
-      end
-    done;
-    (Array.of_list !kept, Array.of_list !kept_rips, !pro, !pro_rips)
-  end
 
 let static_insns (b : Ublock.block) =
   Array.length b.Ublock.uops
@@ -414,40 +239,22 @@ let try_form tier cache (b0 : Ublock.block) =
     let n = List.length chain in
     if n >= 2 || (n = 1 && loops) then begin
       let blocks = List.map fst chain in
-      let plan =
-        if Array.length tier.hoist_facts > 0 then plan_hoist tier blocks else None
-      in
-      let pro = ref [] and pro_rips = ref [] in
-      (* (block, post-hoist body, body rips, exit) per segment. *)
-      let raw =
-        match plan with
-        | None ->
-          List.map
-            (fun ((blk : Ublock.block), x) -> (blk, blk.Ublock.uops, no_rips, x))
-            chain
-        | Some flags ->
-          List.map2
-            (fun ((blk : Ublock.block), x) fl ->
-              let kept, kept_rips, p, pr = apply_hoist blk fl in
-              pro := !pro @ p;
-              pro_rips := !pro_rips @ pr;
-              (blk, kept, kept_rips, x))
-            chain flags
-      in
       (* Optimize the flat bodies before install. The rewritten bodies
          are observationally identical (Traceopt's contract); turning the
          pass off yields [sg_opt = None] everywhere and the executor runs
-         the eager path on the raw bodies. *)
+         the eager path on the block bodies. *)
       let opt =
         if tier.optimize then begin
-          let bodies = Array.of_list (List.map (fun (_, u, _, _) -> u) raw) in
+          let bodies = Array.of_list (List.map (fun (b : Ublock.block) -> b.Ublock.uops) blocks) in
           let exit_jcc =
-            Array.of_list
-              (List.map (fun (_, _, _, x) -> match x with X_jcc _ -> true | _ -> false) raw)
+            Array.of_list (List.map (fun (_, x) -> match x with X_jcc _ -> true | _ -> false) chain)
           in
           let exit_jmp =
             Array.of_list
-              (List.map (fun (_, _, _, x) -> match x with X_jmp _ -> true | _ -> false) raw)
+              (List.map
+                 (fun (b : Ublock.block) ->
+                   match b.Ublock.term with Ublock.Term_jmp _ -> true | _ -> false)
+                 blocks)
           in
           let r = Traceopt.optimize ~bodies ~exit_jcc ~exit_jmp ~loops in
           tier.fused_uops <- tier.fused_uops + r.Traceopt.r_fused;
@@ -459,18 +266,16 @@ let try_form tier cache (b0 : Ublock.block) =
       in
       let segs =
         List.mapi
-          (fun i (blk, uops, rips, x) ->
+          (fun i (blk, x) ->
             {
               sg_blk = blk;
-              sg_uops = uops;
-              sg_rips = rips;
               sg_exit = x;
               sg_opt =
                 (match opt with
                 | Some r -> Some r.Traceopt.r_segs.(i)
                 | None -> None);
             })
-          raw
+          chain
       in
       let n_slots = match opt with Some r -> r.Traceopt.r_slots | None -> 0 in
       let tr =
@@ -479,8 +284,6 @@ let try_form tier cache (b0 : Ublock.block) =
           tr_gen = Ublock.generation cache;
           tr_segs = Array.of_list segs;
           tr_loops = loops;
-          tr_prologue = Array.of_list !pro;
-          tr_prologue_rips = Array.of_list !pro_rips;
           tr_insns = List.fold_left (fun a b -> a + static_insns b) 0 blocks;
           (* vpn -1 can never match a real page, so fresh slots miss. *)
           tr_slot_vpn = Array.make (max n_slots 1) (-1);
@@ -494,8 +297,7 @@ let try_form tier cache (b0 : Ublock.block) =
       in
       tier.by_entry.(entry) <- tr;
       tier.formed <- tr :: tier.formed;
-      tier.formed_count <- tier.formed_count + 1;
-      tier.hoisted_checks <- tier.hoisted_checks + Array.length tr.tr_prologue
+      tier.formed_count <- tier.formed_count + 1
     end
   end
 
@@ -511,7 +313,6 @@ type stat = {
   t_side_exits : int;
   t_cycles : float;
   t_loops : bool;
-  t_hoisted : int;
 }
 
 let stat_of (tr : trace) =
@@ -524,7 +325,6 @@ let stat_of (tr : trace) =
     t_side_exits = tr.tr_side_exits;
     t_cycles = tr.tr_cycles;
     t_loops = tr.tr_loops;
-    t_hoisted = Array.length tr.tr_prologue;
   }
 
 let stats tier = List.rev_map stat_of tier.formed

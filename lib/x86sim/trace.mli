@@ -40,20 +40,6 @@
     the tier models a software-dispatch optimization of the simulator,
     not a microarchitectural feature of the modeled CPU.
 
-    {b Gate-check hoisting} (opt-in): when the embedding layer installs
-    per-rip facts ({!install_hoist_facts}) asserting that a check site is
-    loop-invariant — derived from the same conditions [Gate_opt]'s
-    CFG-scope check motion proves — formation lifts the fact-marked site
-    uops (the [lea] computing the checked address together with the
-    [Ubndc] it feeds) into a prologue executed once per trace {e entry};
-    internal loop restarts skip it, and the in-body access reads the
-    prologue-computed scratch value. Formation re-verifies the facts
-    against the trace body (no uop outside the hoisted group may write
-    any register the group touches, nor the check's bound register)
-    before trusting them. This intentionally changes the modeled cost
-    (fewer retired checks — the pay-once-per-window story), so it is off
-    unless facts are installed.
-
     {b Invalidation} is eager: {!invalidate_all} (wired through
     [Cpu.flush_translations]) unregisters every live trace, so a stale
     superblock — including its side-exit stubs — can never execute after
@@ -61,35 +47,30 @@
     {!Ublock} generation, so even a registry race would fall back to the
     block tier (which recompiles) rather than run stale code. *)
 
-(** How a segment's fused terminator exits, with the predicted
-    continuation baked in at formation time. *)
+(** The prediction baked into a segment's exit at formation time. The
+    exit itself executes the segment block's own terminator
+    ([sg_blk.term]); this only says whether the trace continues. *)
 type exit_kind =
-  | X_jmp of { target : int }
-  | X_jcc of { cond : Insn.cond; target : int; fall : int; predict_taken : bool }
+  | X_always  (** jmp / call: one static successor, never side-exits *)
+  | X_jcc of { predict_taken : bool }
       (** Direction re-evaluated at run time; the unpredicted direction
           side-exits. *)
-  | X_call of { target : int; retaddr : int }
-  | X_call_r of { r : int; retaddr : int; predicted : int }
-  | X_jmp_r of { r : int; predicted : int }
-  | X_ret of { predicted : int }
-      (** Indirect exits compare the actual target against [predicted];
-          a mismatch side-exits with [rip] already set to the actual
-          target. *)
+  | X_indirect of { predicted : int }
+      (** ret / call_r / jmp_r: the actual target is compared against
+          [predicted]; a mismatch side-exits with [rip] already set to
+          the actual target. *)
 
 (** One fused basic block inside a trace. *)
 type seg = {
-  sg_blk : Ublock.block;  (** the underlying block (profile counters live here) *)
-  sg_uops : Ublock.uop array;
-      (** shares [sg_blk.uops] unless hoisting elided checks *)
-  sg_rips : int array;
-      (** per-uop instruction indices; {!no_rips} means the identity
-          mapping [sg_blk.entry + i] (no uop was elided) *)
+  sg_blk : Ublock.block;
+      (** the underlying block: its uops are the segment body, and its
+          profile counters live here *)
   sg_exit : exit_kind;
   sg_opt : Traceopt.oseg option;
       (** the {!Traceopt}-rewritten body (fused pairs, inline translation
           slots, dead flags elided) the executor's lazy-rip fast path
           runs; [None] when the optimizer is off. The careful path (and
-          every mid-segment resume) always runs [sg_uops]. *)
+          every mid-segment resume) always runs [sg_blk.uops]. *)
 }
 
 type trace = {
@@ -99,8 +80,6 @@ type trace = {
   tr_loops : bool;
       (** last segment's predicted exit returns to [tr_entry]: the
           executor restarts the trace without re-dispatching *)
-  tr_prologue : Ublock.uop array;  (** hoisted checks, run once per trace entry *)
-  tr_prologue_rips : int array;
   tr_insns : int;  (** static instructions covered (uops + terminators) *)
   tr_slot_vpn : int array;
       (** inline translation slots, indexed by the [slot] field of the
@@ -118,9 +97,6 @@ type trace = {
 
 val dummy_trace : trace
 (** The "absent" registry sentinel; never executed. *)
-
-val no_rips : int array
-(** Shared empty array marking identity rip mapping in [sg_rips]. *)
 
 (** Per-CPU tier state: the entry-indexed registry, formation parameters,
     cumulative statistics, and the executor's fault-reconciliation
@@ -145,8 +121,6 @@ type tier = {
   mutable invalidated_count : int;
   mutable covered_insns : int;
       (** retired instructions executed from inside superblocks *)
-  mutable hoisted_checks : int;
-      (** check uops elided into prologues, cumulative over formation *)
   mutable fused_uops : int;
       (** macro-fused pairs installed, cumulative over formation *)
   mutable cached_slots : int;  (** inline translation slots installed *)
@@ -174,12 +148,9 @@ type tier = {
   mutable abort_cap_hit : int;  (** [max_segs]/[max_insns] reached *)
   mutable abort_handler_term : int;
       (** halt / serializing-handler / fall-off terminator *)
-  mutable hoist_facts : bool array;
-      (** per-rip loop-invariance facts; [[||]] = none installed *)
   (* Fault-reconciliation scratch for the batched executor (lives here so
      the executor allocates nothing). *)
   mutable rec_entry : int;
-  mutable rec_rips : int array;
   mutable rec_active : bool;
   mutable rec_lazy : bool;
       (** the active segment runs an optimized body with no per-uop rip
@@ -220,12 +191,6 @@ val set_jcc_bias : tier -> int -> unit
     future formation only: already-installed traces keep their baked
     direction, which remains correct (the cold direction side-exits). *)
 
-val install_hoist_facts : tier -> bool array -> unit
-(** Install per-rip loop-invariance facts ([facts.(rip) = true] means the
-    check at [rip] may be hoisted to trace entry). Invalidates live
-    traces so they re-form under the new facts. Facts are cleared by
-    {!invalidate_all} (a flush means the code changed under them). *)
-
 val at : tier -> int -> trace
 (** Registry lookup: the live trace entered at instruction index [entry],
     or {!dummy_trace}. The caller must still check [tr_gen]. *)
@@ -236,8 +201,8 @@ val try_form : tier -> Ublock.cache -> Ublock.block -> unit
     profile does not support a chain (see formation policy above). *)
 
 val invalidate_all : tier -> unit
-(** Eagerly unregister every live trace and clear installed hoist facts.
-    Wired through [Cpu.flush_translations]. *)
+(** Eagerly unregister every live trace. Wired through
+    [Cpu.flush_translations]. *)
 
 (** {2 Observability} *)
 
@@ -249,7 +214,6 @@ type stat = {
   t_side_exits : int;
   t_cycles : float;
   t_loops : bool;
-  t_hoisted : int;  (** prologue length (hoisted checks) *)
 }
 
 val stats : tier -> stat list

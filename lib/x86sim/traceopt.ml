@@ -65,10 +65,10 @@ let writes_flags (u : Ublock.uop) =
   | Ublock.Ufuse_mask_storei { nf; _ } -> not nf
   | _ -> false
 
-(* Whether [u] writes general register [r]. Superset of [Trace.writes_gpr]
-   covering the optimizer shapes and the implicit rsp updates of
-   push/pop — the dead-flag pend check needs the register to be byte-
-   stable to the end of the segment, so implicit writes count. *)
+(* Whether [u] writes general register [r], counting the optimizer
+   shapes and the implicit rsp updates of push/pop — the dead-flag pend
+   check needs the register to be byte-stable to the end of the segment,
+   so implicit writes count. *)
 let writes_gpr (u : Ublock.uop) r =
   match u with
   | Ublock.Umov_rr { d; _ }
@@ -203,7 +203,7 @@ let rewrite_body ~body ~nf ~slots ~fused ~nfc =
       i := !i + 2
     (* MPX gate: lea computing exactly the value the adjacent bound check
        tests. Both issues become one packed pair; the fault point stays
-       after both, as in the interpreter. *)
+       after both, as in the unfused [Ubndc]. *)
     | Ublock.Ulea { d; base; index; scale; disp; meta = m1 },
       Some (Ublock.Ubndc { upper; b; r; meta = m2 })
       when r = d ->
@@ -249,7 +249,10 @@ let rewrite_body ~body ~nf ~slots ~fused ~nfc =
       emit u;
       incr i)
   done;
-  if !k = n then out else Array.sub out 0 !k
+  (* [out] has one slot even for an empty body (a segment that is just
+     its terminator); compare against its length, or that placeholder
+     would run as a phantom nop issue. *)
+  if !k = Array.length out then out else Array.sub out 0 !k
 
 (* Whether the trailing uop is a pure flag producer the jcc exit consumes
    directly — the cmp/test+jcc macro-fusion. The producer moves to the

@@ -23,13 +23,19 @@
       file in the one reachable stop point (fuel exhausted exactly at the
       successor's top, zero successor uops run).
 
-    Every rewrite is observationally identical to the unoptimized
-    segment: same architectural state, same fault points and faulting-rip
-    values, same pipeline issues in the same order, same TLB/cache
-    statistics and timing. The optimized body additionally supports lazy
-    rip materialization: exactly one pipeline issue per covered
-    instruction, in program order, so a fault's architectural rip is
-    reconstructible from the issue delta alone (see [Cpu.exec_trace]).
+    Every rewrite is meant to be observationally identical to the
+    unoptimized segment: same architectural state, same fault points and
+    faulting-rip values, same pipeline issues in the same order, same
+    TLB/cache statistics, cycles and CPI stack. The differential sweeps in
+    [test/test_fastpath.ml] check this, CPI stacks included. It has not
+    always held: [bench/perf/README.md] records modeled-cycle drift at
+    4000 iterations, caused by an empty segment body (a segment that is
+    only its terminator) running a placeholder nop issue.
+
+    The optimized body additionally supports lazy rip materialization:
+    exactly one pipeline issue per covered instruction, in program order,
+    so a fault's architectural rip is reconstructible from the issue delta
+    alone (see [Cpu.exec_trace]).
 
     This module sits {e below} [Trace]: it speaks in raw uop arrays plus
     per-segment exit-shape booleans and never sees [Trace.seg]. *)
@@ -42,7 +48,7 @@ type oseg = {
           stage — after the body, before the condition is evaluated *)
   os_m : int;
       (** architectural instructions covered by [os_uops] + [os_flags]:
-          the original (post-hoist) body length. The executor's batch
+          the original body length. The executor's batch
           settle and its fast-path fuel gate both use this. *)
   os_pend : int;
       (** destination register of a cross-boundary dead-flag elision, or
@@ -63,7 +69,7 @@ val optimize :
   exit_jmp:bool array ->
   loops:bool ->
   result
-(** Optimize one trace's segment bodies (the post-hoist [sg_uops] arrays,
+(** Optimize one trace's segment bodies (the segment blocks' uop arrays,
     in segment order). [exit_jcc.(s)] / [exit_jmp.(s)] say whether segment
     [s] exits on a conditional branch / an unconditional jump (the only
     exit kind that can never side-exit — the precondition for

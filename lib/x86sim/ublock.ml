@@ -72,7 +72,7 @@ type uop =
   (* Macro-fused [lea]/[lea32] + MPX bound check on its result (the MemSentry
      MPX gate idiom). Both halves issue back to back (the eager path has
      only a counter bump between them); the Bound_violation fault point is
-     after both issues, matching [Cpu.exec]'s Bndcu ordering. *)
+     after both issues, matching the [Ubndc] arm of [Cpu.exec_uop]. *)
   | Ufuse_lea_bndc of
       { d : int; base : int; index : int; scale : int; disp : int; w32 : bool; m1 : int;
         upper : bool; b : int; m2 : int }
@@ -104,10 +104,16 @@ type block = {
   mutable dyn_total : int;
 }
 
+type op = Op_uop of uop | Op_term of terminator
+
 type cache = {
   program : Program.t;
   code : Insn.t array;
   blocks : block array;  (* indexed by entry; dummy_block = not compiled *)
+  mutable ops : op array;
+      (* per-instruction translations for the hooked path, indexed by rip
+         ([no_op] = not decoded); [||] until first used and after each
+         [invalidate] *)
   mutable gen : int;
   mutable compile_count : int;
   mutable invalidation_count : int;
@@ -135,6 +141,7 @@ let create program =
     program;
     code = Program.code program;
     blocks = Array.make (Program.length program) dummy_block;
+    ops = [||];
     gen = 0;
     compile_count = 0;
     invalidation_count = 0;
@@ -146,7 +153,10 @@ let generation cache = cache.gen
 
 let invalidate cache =
   cache.gen <- cache.gen + 1;
-  cache.invalidation_count <- cache.invalidation_count + 1
+  cache.invalidation_count <- cache.invalidation_count + 1;
+  (* Nothing outside the cache points into the per-instruction memo, so
+     dropping it is all its invalidation takes. *)
+  cache.ops <- [||]
 
 (* Eagerly sever every chained-successor link. Generation checks already
    keep a stale link from being *followed* lazily, but the trace tier
@@ -258,9 +268,9 @@ let msrc2 (m : Insn.mem) = if m.index >= 0 then Reg.pipe_gpr m.index else nr
 
 let alu_lat (op : Insn.alu) = match op with Insn.Imul -> 3 | _ -> 1
 
-(* Issue metadata for the common shapes. Latencies and port assignments
-   transcribe [Cpu.exec]'s [issue_fast] calls one-to-one; the differential
-   per-opcode sweep in test_fastpath.ml pins the correspondence. *)
+(* Issue metadata for the common shapes: the one place each instruction's
+   source/destination registers, latency and port are written down. Both
+   execution loops issue these words ([Cpu.exec_uop]). *)
 let m_alu0 = Pipeline.pack ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:0 ~port:Pipeline.p_alu
 
 let m_load (m : Insn.mem) d1 =
@@ -559,7 +569,7 @@ let terminator_of (insn : Insn.t) : terminator =
   | Insn.Jmp_r r -> Term_jmp_r { r }
   | Insn.Ret -> Term_ret
   | Insn.Syscall | Insn.Mfence | Insn.Cpuid | Insn.Wrpkru | Insn.Vmfunc | Insn.Vmcall ->
-    (* Serializing/handler instructions: interpreter semantics, and the
+    (* Serializing/handler instructions: executed by [Cpu.exec], and the
        chain must end because their handlers may attach hooks or swap the
        program. *)
     Term_exec insn
@@ -599,3 +609,21 @@ let get cache entry =
     cache.blocks.(entry) <- b;
     b
   end
+
+let no_op = Op_term Term_fall_off
+
+(* The memo array is allocated on first use, so a program that only ever
+   runs on the fast path pays nothing for it. *)
+let decode_op cache rip =
+  if Array.length cache.ops = 0 then cache.ops <- Array.make (Array.length cache.code) no_op;
+  let insn = cache.code.(rip) in
+  let o = if is_terminator insn then Op_term (terminator_of insn) else Op_uop (uop_of insn) in
+  cache.ops.(rip) <- o;
+  o
+
+(* The hit path is inlined into [Cpu.step]. *)
+let[@inline] op cache rip =
+  let ops = cache.ops in
+  if rip >= 0 && rip < Array.length ops && Array.unsafe_get ops rip != no_op then
+    Array.unsafe_get ops rip
+  else decode_op cache rip

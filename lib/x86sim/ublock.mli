@@ -17,8 +17,8 @@
       translations are pure functions of the code array, so overlap is
       harmless.
     - {b Chaining}: a block ends at its terminator (branch, call, ret,
-      halt, or a serializing instruction that must run through the
-      interpreter). Static terminators cache direct links to their
+      halt, or a serializing instruction whose handler must run).
+      Static terminators cache direct links to their
       successor blocks ([succ_taken]/[succ_fall]), so steady-state
       execution follows block→block pointers without re-looking-up the
       cache.
@@ -29,12 +29,15 @@
       identity; [Cpu.flush_translations] bumps the generation for the rare
       case of in-place mutation of the code array.
 
-    The slow paths keep interpreter semantics by construction: attached
-    step/event hooks bypass translation entirely ([Cpu.step]), faults
-    unwind out of block execution with [Cpu.rip] still naming the faulting
-    instruction (every uop re-arms [rip] before executing), and
-    serializing/handler instructions ([syscall], [vmcall], [wrpkru], …)
-    are block terminators executed by the interpreter's own [exec]. *)
+    The translation is also the single definition of what each
+    instruction does. The hooked path ([Cpu.step], taken while step or
+    event hooks are attached) executes the same uops one instruction at a
+    time, through the per-instruction memo {!op}; only the fetch its
+    hooks observe still reads {!Insn.t}. Faults unwind out of block
+    execution with [Cpu.rip] still naming the faulting instruction (every
+    uop re-arms [rip] before executing), and serializing/handler
+    instructions ([syscall], [vmcall], [wrpkru], …) are block terminators
+    executed by [Cpu.exec], the one place their semantics live. *)
 
 (** One predecoded micro-op: one non-terminator instruction with operands
     resolved and issue metadata precomputed. [meta] fields are
@@ -123,12 +126,12 @@ type uop =
           result — the MemSentry MPX gate idiom. Both halves issue back to
           back ({!Pipeline.issue_packed_pair_static}; the eager path has
           only a counter bump between them); the [Bound_violation] fault
-          point stays {e after} both issues, as in the interpreter. *)
+          point stays {e after} both issues, as in the unfused {!Ubndc}. *)
 
 (** How a block ends, with branch targets resolved to instruction
     indices. [Term_exec] instructions (serializing/handler instructions:
     [Syscall], [Mfence], [Cpuid], [Wrpkru], [Vmfunc], [Vmcall]) are
-    executed by the interpreter and end the chain, because their handlers
+    executed by [Cpu.exec] and end the chain, because their handlers
     may attach hooks or swap the program. [Term_fall_off] marks a block
     that runs off the end of the code array: executing it re-raises the
     fetch fault of [Program.fetch]. *)
@@ -192,8 +195,9 @@ val generation : cache -> int
 
 val invalidate : cache -> unit
 (** Bump the generation: every cached block and chain link becomes stale
-    and is recompiled on next entry. For in-place mutation of the code
-    array; program swaps are handled by cache identity ({!owns}). *)
+    and is recompiled on next entry, and the {!op} memo is dropped. For
+    in-place mutation of the code array; program swaps are handled by
+    cache identity ({!owns}). *)
 
 val drop_links : cache -> unit
 (** Eagerly sever every cached chained-successor link (reset to
@@ -206,6 +210,16 @@ val peek : cache -> int -> block option
 (** The cached, generation-fresh block at [entry], without compiling.
     [None] for empty slots, stale generations, or out-of-range entries.
     Introspection for tests and reports; execution uses {!get}. *)
+
+(** One instruction's translation: a body uop, or the terminator it
+    would end a block with. *)
+type op = Op_uop of uop | Op_term of terminator
+
+val op : cache -> int -> op
+(** The translation of the single instruction at [rip] (which must be
+    within the code array), for the hooked one-instruction-at-a-time
+    path. Memoized per rip; {!invalidate} drops the memo, and a program
+    swap replaces the whole cache. *)
 
 (** {2 Fast-path profile}
 

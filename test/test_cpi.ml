@@ -173,7 +173,7 @@ let test_diff_flags_regressions () =
   let mk rows =
     { Fastprof.p_workload = "w"; p_technique = "MPK"; p_cycles = 0.0; p_insns = 0;
       p_rows = rows; p_blocks = []; p_traces = []; p_traces_formed = 0;
-      p_traces_invalidated = 0; p_trace_covered = 0; p_trace_hoisted = 0;
+      p_traces_invalidated = 0; p_trace_covered = 0;
       p_trace_fused = 0; p_trace_slots = 0; p_trace_dead_flags = 0;
       p_inline_hits = 0; p_inline_misses = 0; p_abort_cold = 0;
       p_abort_indirect = 0; p_abort_cap = 0; p_abort_handler = 0;

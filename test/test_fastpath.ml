@@ -1,6 +1,8 @@
-(* The no-hook fast loop and the hooked per-step loop are two paths
-   through the same engine ([Cpu.run_fast] vs [Cpu.step]); attaching an
-   observe-only hook must not change a single modeled number. Random
+(* The no-hook fast loop and the hooked per-step loop are two loops over
+   the same instruction semantics ([Cpu.run_fast] chains predecoded
+   blocks; [Cpu.step] runs the same uops one instruction at a time so
+   hooks can observe each). Attaching an observe-only hook must not change
+   a single modeled number: these tests check hook transparency. Random
    programs pin that down differentially: identical cycle count, counters,
    final registers and memory, with and without hooks, uninstrumented and
    under MPK instrumentation.
@@ -150,11 +152,13 @@ let store_buffer_bounded () =
 (* Random programs above give breadth; this sweep gives coverage: every
    [Insn.t] constructor (and the interesting variants within one — each
    ALU op, every condition taken and not taken, the addressing shapes,
-   and the architectural fault cases) runs once through the translated
-   no-hook fast path and once through the hooked interpreter loop, and
-   the complete architectural state must match: status, rip, flags,
-   cycle count, all counters, gprs, the full vector file, bound
-   registers, pkru, data memory and the touched stack. *)
+   and the architectural fault cases) runs once through the no-hook fast
+   path and once with hooks attached, and the complete architectural
+   state must match: status, rip, flags, cycle count and its CPI stack,
+   all counters, gprs, the full vector file, bound registers, pkru, data
+   memory and the touched stack. Both loops execute the same uops, so
+   what this pins is that the loops around them — fetch, hooks, memory
+   events, fault delivery, fuel — leave the modeled machine alone. *)
 
 open X86sim
 
@@ -165,6 +169,7 @@ type full_snap = {
   f_rip : int;
   f_cmp : int;
   f_cycles : float;
+  f_cpi : float array;
   f_counters : Cpu.counters;
   f_gprs : int array;
   f_vec : Bytes.t;
@@ -205,6 +210,7 @@ let run_case_on ~hooks cpu run items =
     f_rip = cpu.Cpu.rip;
     f_cmp = cpu.Cpu.cmp;
     f_cycles = Cpu.cycles cpu;
+    f_cpi = Pipeline.cpi_totals cpu.Cpu.pipe;
     f_counters = cpu.Cpu.counters;
     f_gprs = Array.init Reg.gpr_count (Cpu.get_gpr cpu);
     f_vec = Bytes.copy cpu.Cpu.xmm;
@@ -227,6 +233,7 @@ let diff_fields a b =
       ("rip", a.f_rip = b.f_rip);
       ("cmp", a.f_cmp = b.f_cmp);
       ("cycles", a.f_cycles = b.f_cycles);
+      ("cpi", a.f_cpi = b.f_cpi);
       ("counters", a.f_counters = b.f_counters);
       ("gprs", a.f_gprs = b.f_gprs);
       ("vec", a.f_vec = b.f_vec);
@@ -375,6 +382,12 @@ let exhaustive_cases : (string * (unit -> Program.item list)) list =
           i (Insn.Bndmov_store (m ~base:Reg.rbx 32, 0));
           i (Insn.Bndmov_load (1, m ~base:Reg.rbx 32));
         ]
+        @ halt );
+    (* The two 8-byte halves straddle a cache line: each access's TLB and
+       cache outcome gets its own CPI-class attribution. *)
+    ( "bndmov_load_line_crossing",
+      fun () ->
+        [ i (Insn.Mov_ri (Reg.rbx, data_va)); i (Insn.Bndmov_load (2, m ~base:Reg.rbx 56)) ]
         @ halt );
     ( "wrpkru",
       fun () ->
@@ -853,7 +866,21 @@ let translation_invalidation () =
   Cpu.flush_translations cpu;
   reset_for_rerun cpu;
   (match Cpu.run cpu with Cpu.Halted -> () | Cpu.Out_of_fuel -> Alcotest.fail "fuel");
-  Alcotest.(check int) "flush_translations picks up mutated code" 2 (Cpu.get_gpr cpu Reg.rax)
+  Alcotest.(check int) "flush_translations picks up mutated code" 2 (Cpu.get_gpr cpu Reg.rax);
+  (* The hooked path executes memoized translations too, under the same
+     contract. *)
+  let hooked_run () =
+    let id = Cpu.add_step_hook cpu (fun _ _ -> ()) in
+    reset_for_rerun cpu;
+    (match Cpu.run cpu with Cpu.Halted -> () | Cpu.Out_of_fuel -> Alcotest.fail "fuel");
+    Cpu.remove_step_hook cpu id;
+    Cpu.get_gpr cpu Reg.rax
+  in
+  Alcotest.(check int) "hooked run executes current code" 2 (hooked_run ());
+  (Program.code prog).(0) <- Insn.Mov_ri (Reg.rax, 3);
+  Alcotest.(check int) "hooked run keeps its translation until flushed" 2 (hooked_run ());
+  Cpu.flush_translations cpu;
+  Alcotest.(check int) "hooked run picks up mutated code after flush" 3 (hooked_run ())
 
 let suite =
   [
