@@ -27,6 +27,10 @@ let results_json () =
 
 let write_json file = Json.to_file file (results_json ())
 
+(* Set by a target whose checks failed; main.exe exits 1 once the JSON
+   file is written. *)
+let failed = ref false
+
 (* Strip the numeric SPEC prefix for compact rows. *)
 let short name =
   match String.index_opt name '.' with
@@ -81,3 +85,28 @@ let crypt_cfg policy = Framework.config ~switch_policy:policy Technique.Crypt
 
 let domain_configs policy =
   [ ("MPK", mpk_cfg policy); ("VMFUNC", vmfunc_cfg policy); ("crypt", crypt_cfg policy) ]
+
+(* The fig3-fig6 corpus as the verifier and the check-motion optimizer
+   sweep it: the seven address-based builds, then the three domain-based
+   techniques under each switch policy. (fig3.ml keeps its own column
+   order, which the golden pins.) *)
+let corpus_configs =
+  [
+    ("SFI-w", Framework.config ~address_kind:Instr.Writes Technique.Sfi);
+    ("SFI-r", Framework.config ~address_kind:Instr.Reads Technique.Sfi);
+    ("SFI-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Sfi);
+    ("MPX-w", Framework.config ~address_kind:Instr.Writes Technique.Mpx);
+    ("MPX-r", Framework.config ~address_kind:Instr.Reads Technique.Mpx);
+    ("MPX-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Mpx);
+    ("ISBox-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Isboxing);
+  ]
+  @ List.concat_map
+      (fun (pname, policy) ->
+        List.map
+          (fun (tname, cfg) -> (Printf.sprintf "%s@%s" tname pname, cfg))
+          (domain_configs policy))
+      [
+        ("call-ret", Instr.At_call_ret);
+        ("indirect", Instr.At_indirect_branches);
+        ("syscall", Instr.At_syscalls);
+      ]

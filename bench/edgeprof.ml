@@ -5,10 +5,11 @@
    techniques at call/ret for figs 4-6) with the fast-path block/edge
    counters installed, and records the resulting CFG edge profiles.
 
-   The JSON written via --json is the input contract for a future
-   superblock tier: each (benchmark, config) entry carries the executed
-   blocks and their exact taken/fall edges plus the Boyer-Moore majority
-   target of every indirect exit. *)
+   The JSON written via --json shows what the superblock tier
+   ([X86sim.Trace]) forms its traces from: each (benchmark, config) entry
+   carries the executed blocks and their exact taken/fall edges plus the
+   Boyer-Moore majority target of every indirect exit, next to the traces
+   that formed and why their chains ended. *)
 
 open Ms_util
 open Memsentry

@@ -8,38 +8,17 @@
    At_safe_accesses shadow-stack workload, the one corpus shape with
    adjacent safe-region accesses.
 
+   The target is also the corpus gate: every optimized build is re-run
+   through the static verifier, and any verification violation, any
+   dynamic count outside its predicted interval, or any build Gate_opt
+   rejects sets [Bench_common.failed], so main.exe exits 1.
+
    Not part of the "all" target: the double builds roughly double the
    figure-sweep cost, and the JSON golden must stay byte-stable. *)
 
 open Ms_util
 open X86sim
 open Memsentry
-
-let configs =
-  let fig3 =
-    [
-      ("SFI-w", Framework.config ~address_kind:Instr.Writes Technique.Sfi);
-      ("SFI-r", Framework.config ~address_kind:Instr.Reads Technique.Sfi);
-      ("SFI-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Sfi);
-      ("MPX-w", Framework.config ~address_kind:Instr.Writes Technique.Mpx);
-      ("MPX-r", Framework.config ~address_kind:Instr.Reads Technique.Mpx);
-      ("MPX-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Mpx);
-      ("ISBox-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Isboxing);
-    ]
-  in
-  let domains =
-    List.concat_map
-      (fun (pname, policy) ->
-        List.map
-          (fun (tname, cfg) -> (Printf.sprintf "%s@%s" tname pname, cfg))
-          (Bench_common.domain_configs policy))
-      [
-        ("call-ret", Instr.At_call_ret);
-        ("indirect", Instr.At_indirect_branches);
-        ("syscall", Instr.At_syscalls);
-      ]
-  in
-  fig3 @ domains
 
 (* One instrumented run with the profiler attached, keeping the prepared
    machine so opt_stats / program / sitemap stay readable afterwards. *)
@@ -70,7 +49,8 @@ type agg = {
   mutable exact : int;  (* cost-model validation, optimized build *)
   mutable bounded : int;
   mutable violated : int;
-  mutable cm_ok : bool;
+  mutable unsafe : int;  (* verifier violations, optimized build *)
+  mutable rejected : int;  (* builds Gate_opt refused *)
 }
 
 let fresh_agg () =
@@ -89,36 +69,45 @@ let fresh_agg () =
     exact = 0;
     bounded = 0;
     violated = 0;
-    cm_ok = true;
+    unsafe = 0;
+    rejected = 0;
   }
 
-let measure_config cfg =
+let measure_config name cfg =
   let a = fresh_agg () in
+  let measure prof =
+    let base = Workloads.Runner.run_baseline ~iterations:!Bench_common.iterations prof in
+    let p0, prof0 = profiled_run ~optimize:false prof cfg in
+    let p1, prof1 = profiled_run ~optimize:true prof cfg in
+    (match p1.Framework.opt_stats with
+    | None -> ()
+    | Some s ->
+      a.sites <- a.sites + s.Gate_opt.sites_total;
+      a.elim_static <- a.elim_static + s.Gate_opt.eliminated_static;
+      a.elim_red <- a.elim_red + s.Gate_opt.eliminated_redundant;
+      a.hoisted <- a.hoisted + s.Gate_opt.hoisted;
+      a.coalesced <- a.coalesced + s.Gate_opt.coalesced_pairs);
+    a.checks0 <- a.checks0 + Profiler.total_checks prof0;
+    a.checks1 <- a.checks1 + Profiler.total_checks prof1;
+    a.cross0 <- a.cross0 + Profiler.total_crossings prof0;
+    a.cross1 <- a.cross1 + Profiler.total_crossings prof1;
+    a.ovh0 <- (Cpu.cycles p0.Framework.cpu /. base.Workloads.Runner.cycles) :: a.ovh0;
+    a.ovh1 <- (Cpu.cycles p1.Framework.cpu /. base.Workloads.Runner.cycles) :: a.ovh1;
+    let model = Cost_model.predict p1.Framework.program p1.Framework.sitemap in
+    let v = Cost_model.validate model prof1 in
+    a.exact <- a.exact + v.Cost_model.n_exact;
+    a.bounded <- a.bounded + v.Cost_model.n_bounded;
+    a.violated <- a.violated + v.Cost_model.n_violated;
+    match Framework.verify_prepared p1 with
+    | Some r -> a.unsafe <- a.unsafe + List.length r.Gate_analysis.violations
+    | None -> ()
+  in
   List.iter
     (fun prof ->
-      let base = Workloads.Runner.run_baseline ~iterations:!Bench_common.iterations prof in
-      let p0, prof0 = profiled_run ~optimize:false prof cfg in
-      let p1, prof1 = profiled_run ~optimize:true prof cfg in
-      (match p1.Framework.opt_stats with
-      | None -> ()
-      | Some s ->
-        a.sites <- a.sites + s.Gate_opt.sites_total;
-        a.elim_static <- a.elim_static + s.Gate_opt.eliminated_static;
-        a.elim_red <- a.elim_red + s.Gate_opt.eliminated_redundant;
-        a.hoisted <- a.hoisted + s.Gate_opt.hoisted;
-        a.coalesced <- a.coalesced + s.Gate_opt.coalesced_pairs);
-      a.checks0 <- a.checks0 + Profiler.total_checks prof0;
-      a.checks1 <- a.checks1 + Profiler.total_checks prof1;
-      a.cross0 <- a.cross0 + Profiler.total_crossings prof0;
-      a.cross1 <- a.cross1 + Profiler.total_crossings prof1;
-      a.ovh0 <- (Cpu.cycles p0.Framework.cpu /. base.Workloads.Runner.cycles) :: a.ovh0;
-      a.ovh1 <- (Cpu.cycles p1.Framework.cpu /. base.Workloads.Runner.cycles) :: a.ovh1;
-      let model = Cost_model.predict p1.Framework.program p1.Framework.sitemap in
-      let v = Cost_model.validate model prof1 in
-      a.exact <- a.exact + v.Cost_model.n_exact;
-      a.bounded <- a.bounded + v.Cost_model.n_bounded;
-      a.violated <- a.violated + v.Cost_model.n_violated;
-      a.cm_ok <- a.cm_ok && v.Cost_model.ok)
+      try measure prof
+      with Gate_opt.Rejected msg ->
+        Printf.eprintf "%s/%s: %s\n" name prof.Workloads.Profile.name msg;
+        a.rejected <- a.rejected + 1)
     Workloads.Spec2006.all;
   a
 
@@ -150,18 +139,31 @@ let shadow_coalescing () =
   in
   let p0, prof0 = build false in
   let p1, prof1 = build true in
-  let coalesced =
+  let sname = prof.Workloads.Profile.name in
+  let coal =
     match p1.Framework.opt_stats with Some s -> s.Gate_opt.coalesced_pairs | None -> 0
   in
-  ( prof.Workloads.Profile.name,
-    coalesced,
-    Profiler.total_crossings prof0,
-    Profiler.total_crossings prof1,
-    p0.Framework.cpu.Cpu.counters.Cpu.wrpkrus,
-    p1.Framework.cpu.Cpu.counters.Cpu.wrpkrus )
+  let crs0 = Profiler.total_crossings prof0 and crs1 = Profiler.total_crossings prof1 in
+  let sw0 = p0.Framework.cpu.Cpu.counters.Cpu.wrpkrus
+  and sw1 = p1.Framework.cpu.Cpu.counters.Cpu.wrpkrus in
+  Printf.printf
+    "Gate coalescing (MPK @ safe accesses, shadow-stack-protected %s):\n\
+    \  %d close/reopen pairs merged; crossings %d -> %d, executed wrpkru %d -> %d\n"
+    sname coal crs0 crs1 sw0 sw1;
+  Json.Obj
+    [
+      ("benchmark", Json.String sname);
+      ("coalesced_pairs", Json.Int coal);
+      ("crossings_before", Json.Int crs0);
+      ("crossings_after", Json.Int crs1);
+      ("wrpkru_before", Json.Int sw0);
+      ("wrpkru_after", Json.Int sw1);
+    ]
 
 let run () =
-  let rows = List.map (fun (name, cfg) -> (name, measure_config cfg)) configs in
+  let rows =
+    List.map (fun (name, cfg) -> (name, measure_config name cfg)) Bench_common.corpus_configs
+  in
   print_endline "Check-motion optimizer: static effect, dynamic counts, overhead (all workloads)";
   print_endline "(chk/crs = profiler checks & crossings summed over the corpus; ovh = geomean)";
   let t =
@@ -182,29 +184,44 @@ let run () =
     rows;
   Table_fmt.print t;
   print_newline ();
-  print_endline "Cost model vs profiler (optimized builds; violated must be 0)";
-  let v = Table_fmt.create [ "config"; "sites"; "exact"; "bounded"; "violated" ] in
-  let all_ok = ref true in
+  print_endline
+    "Cost model vs profiler, and the verifier (optimized builds; violated, unsafe and \
+     rejected must be 0)";
+  let v =
+    Table_fmt.create
+      [ "config"; "sites"; "exact"; "bounded"; "violated"; "unsafe"; "rejected" ]
+  in
   List.iter
     (fun (name, a) ->
-      all_ok := !all_ok && a.cm_ok;
       Table_fmt.add_row v
-        (name :: List.map string_of_int [ a.exact + a.bounded + a.violated; a.exact; a.bounded; a.violated ]))
+        (name
+        :: List.map string_of_int
+             [ a.exact + a.bounded + a.violated; a.exact; a.bounded; a.violated; a.unsafe;
+               a.rejected ]))
     rows;
   Table_fmt.print v;
   print_newline ();
-  let sname, coal, crs0, crs1, sw0, sw1 = shadow_coalescing () in
-  Printf.printf
-    "Gate coalescing (MPK @ safe accesses, shadow-stack-protected %s):\n\
-    \  %d close/reopen pairs merged; crossings %d -> %d, executed wrpkru %d -> %d\n"
-    sname coal crs0 crs1 sw0 sw1;
+  let shadow =
+    match shadow_coalescing () with
+    | j -> [ ("shadow_coalescing", j) ]
+    | exception Gate_opt.Rejected msg ->
+      Printf.eprintf "shadow-stack coalescing: %s\n" msg;
+      []
+  in
+  let sum f = List.fold_left (fun n (_, a) -> n + f a) 0 rows in
+  let violated = sum (fun a -> a.violated)
+  and unsafe = sum (fun a -> a.unsafe)
+  and rejected = sum (fun a -> a.rejected) + if shadow = [] then 1 else 0 in
+  if violated + unsafe + rejected > 0 then Bench_common.failed := true;
   Printf.printf "cost-model verdict: %s\n"
-    (if !all_ok then "all dynamic counts inside predicted intervals"
+    (if violated = 0 then "all dynamic counts inside predicted intervals"
      else "PREDICTION VIOLATIONS FOUND");
+  Printf.printf "verifier verdict: %s\n"
+    (if unsafe = 0 && rejected = 0 then "all optimized builds verify clean"
+     else Printf.sprintf "%d violations, %d rejected builds" unsafe rejected);
   Bench_common.record_json "gateopt"
     (Json.Obj
-       [
-         ( "configs",
+       (( "configs",
            Json.List
              (List.map
                 (fun (name, a) ->
@@ -225,16 +242,8 @@ let run () =
                       ("cost_model_exact", Json.Int a.exact);
                       ("cost_model_bounded", Json.Int a.bounded);
                       ("cost_model_violated", Json.Int a.violated);
+                      ("violations", Json.Int a.unsafe);
+                      ("rejected", Json.Int a.rejected);
                     ])
-                rows) );
-         ( "shadow_coalescing",
-           Json.Obj
-             [
-               ("benchmark", Json.String sname);
-               ("coalesced_pairs", Json.Int coal);
-               ("crossings_before", Json.Int crs0);
-               ("crossings_after", Json.Int crs1);
-               ("wrpkru_before", Json.Int sw0);
-               ("wrpkru_after", Json.Int sw1);
-             ] );
-       ])
+                rows) )
+       :: shadow))

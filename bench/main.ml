@@ -3,23 +3,19 @@
    With no arguments, regenerates every table and figure of the paper's
    evaluation plus the prose experiments and the ablations (the full
    reproduction run recorded in EXPERIMENTS.md). Individual targets can be
-   selected by name. *)
+   selected by name. A target that checks what it measures (gateopt) marks
+   a failed check in [Bench_common.failed]; the run then exits 1, after
+   the --json file is written. *)
 
 let usage () =
   print_endline
     "usage: main.exe \
-     [table1|table2|table3|table4|fig3|fig4|fig5|fig6|extras|ablations|domains|servers|codesize|verify|gateopt|attacks|bechamel|simspeed|edgeprof|all]\n\
+     [table1|table2|table3|table4|fig3|fig4|fig5|fig6|extras|ablations|domains|servers|codesize|verify|gateopt|attacks|edgeprof|all]\n\
      \  --iterations N   workload loop iterations (default 40)\n\
      \  --jobs N         run independent simulations on N domains (default 1)\n\
      \  --vcpus N        servers only: also sweep multi-vCPU machines up to N cores\n\
      \                   (default 1 = single-core only, keeps goldens stable)\n\
-     \  --json FILE      also write machine-readable results (figures 3-6, table 4)\n\
-     \  --speed-guard F  simspeed only: fail if measured MIPS < F x the committed\n\
-     \                   BENCH_simspeed.json latest (CI perf-regression gate)\n\
-     \  --no-traces      simspeed only: disable the superblock trace tier for the\n\
-     \                   timed runs (isolates its engine-speed contribution)\n\
-     \  --no-fusion      simspeed only: keep traces but disable the trace-lane uop\n\
-     \                   optimizer (isolates fusion/inline-slot/lazy-rip gains)";
+     \  --json FILE      also write machine-readable results (figures 3-6, table 4)";
   exit 1
 
 let rec run_target = function
@@ -39,8 +35,6 @@ let rec run_target = function
   | "codesize" -> Codesize.run ()
   | "verify" -> Verify_stats.run ()
   | "gateopt" -> Gateopt.run ()
-  | "bechamel" -> Bechamel_suite.run ()
-  | "simspeed" -> Simspeed.run ()
   | "edgeprof" -> Edgeprof.run ()
   | "all" ->
     List.iter run_target_unit
@@ -79,25 +73,15 @@ let () =
     | "--json" :: file :: rest ->
       json_file := Some file;
       parse targets rest
-    | "--speed-guard" :: f :: rest ->
-      (match float_of_string_opt f with
-      | Some v when v > 0.0 -> Simspeed.guard_factor := Some v
-      | Some _ | None -> usage ());
-      parse targets rest
-    | "--no-traces" :: rest ->
-      Simspeed.no_traces := true;
-      parse targets rest
-    | "--no-fusion" :: rest ->
-      Simspeed.no_fusion := true;
-      parse targets rest
     | ("-h" | "--help") :: _ -> usage ()
     | t :: rest -> parse (t :: targets) rest
   in
   let targets = parse [] args in
   let targets = if targets = [] then [ "all" ] else targets in
   List.iter run_target targets;
-  match !json_file with
+  (match !json_file with
   | None -> ()
   | Some file ->
     Bench_common.write_json file;
-    Printf.printf "results written to %s\n" file
+    Printf.printf "results written to %s\n" file);
+  if !Bench_common.failed then exit 1

@@ -7,29 +7,6 @@
 open Ms_util
 open Memsentry
 
-let fig3_configs =
-  [
-    ("SFI-w", Framework.config ~address_kind:Instr.Writes Technique.Sfi);
-    ("SFI-r", Framework.config ~address_kind:Instr.Reads Technique.Sfi);
-    ("SFI-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Sfi);
-    ("MPX-w", Framework.config ~address_kind:Instr.Writes Technique.Mpx);
-    ("MPX-r", Framework.config ~address_kind:Instr.Reads Technique.Mpx);
-    ("MPX-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Mpx);
-    ("ISBox-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Isboxing);
-  ]
-
-let domain_configs =
-  List.concat_map
-    (fun (pname, policy) ->
-      List.map
-        (fun (tname, cfg) -> (Printf.sprintf "%s@%s" tname pname, cfg))
-        (Bench_common.domain_configs policy))
-    [
-      ("call-ret", Instr.At_call_ret);
-      ("indirect", Instr.At_indirect_branches);
-      ("syscall", Instr.At_syscalls);
-    ]
-
 let run () =
   let t =
     Table_fmt.create
@@ -66,7 +43,7 @@ let run () =
       Table_fmt.add_row t
         (name
         :: List.map string_of_int [ !blocks; !reach; !checked; !gates; !guarded; !viol; !lints ]))
-    (fig3_configs @ domain_configs);
+    Bench_common.corpus_configs;
   print_endline
     "Verification statistics: fig3-fig6 instrumented corpora through the static verifier";
   print_endline "(sums over all SPEC-like workloads; fig3 = address-based, fig4-6 = domain-based)";

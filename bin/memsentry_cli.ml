@@ -98,12 +98,11 @@ let find_bench name =
     exit 1
 
 let report_cmd =
-  let fastpath_report bench technique policy kind iterations no_fusion top json_out flame_out
+  let fastpath_report bench technique policy kind iterations top json_out flame_out
       speedscope_out =
     let prof = find_bench bench in
     let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
     let p = Workloads.Runner.prepare_instrumented ~iterations prof cfg in
-    if no_fusion then X86sim.Cpu.set_trace_fusion p.Framework.cpu false;
     Fastprof.install p;
     (match Framework.run p with
     | X86sim.Cpu.Halted -> ()
@@ -156,7 +155,7 @@ let report_cmd =
   (* N vCPUs, one shared machine: per-core CPI stacks plus the machine
      rollup (Fastprof.merge) — cycles/counters sum, shared-tier numbers
      counted once. *)
-  let fastpath_report_smp bench technique policy kind iterations no_fusion vcpus top json_out =
+  let fastpath_report_smp bench technique policy kind iterations vcpus top json_out =
     let prof = find_bench bench in
     let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
     let s =
@@ -165,10 +164,6 @@ let report_cmd =
         Printf.eprintf "%s\n" msg;
         exit 1
     in
-    if no_fusion then
-      for core = 0 to vcpus - 1 do
-        X86sim.Cpu.set_trace_fusion (X86sim.Machine.cpu s.Framework.machine core) false
-      done;
     Fastprof.install_smp s;
     (match Framework.run_smp s with
     | X86sim.Cpu.Halted -> ()
@@ -198,15 +193,14 @@ let report_cmd =
       Ms_util.Json.to_file file (Fastprof.to_json total);
       Printf.printf "\nmachine-total profile written to %s\n" file
   in
-  let run bench technique policy kind iterations no_fusion vcpus top json_out flame_out
-      speedscope_out =
+  let run bench technique policy kind iterations vcpus top json_out flame_out speedscope_out =
     match bench with
     | None -> Report.print_all ()
     | Some bench ->
       if vcpus > 1 then
-        fastpath_report_smp bench technique policy kind iterations no_fusion vcpus top json_out
+        fastpath_report_smp bench technique policy kind iterations vcpus top json_out
       else
-        fastpath_report bench technique policy kind iterations no_fusion top json_out flame_out
+        fastpath_report bench technique policy kind iterations top json_out flame_out
           speedscope_out
   in
   let bench =
@@ -237,10 +231,6 @@ let report_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Write the fast-path profile as JSON ('-' for stdout); input of perf-diff.")
   in
-  let no_fusion =
-    Arg.(value & flag & info [ "no-fusion" ]
-           ~doc:"Disable the trace-lane uop optimizer (macro-fusion, inline translation                  slots, lazy rip) for this run. The profile must be cycle-identical to a                  fusion-on run — the optimizer targets engine dispatch, not modeled cost —                  which CI enforces via perf-diff.")
-  in
   let flame_out =
     Arg.(value & opt (some string) None & info [ "flamegraph" ] ~docv:"FILE"
            ~doc:"Write the CPI stacks as collapsed/folded flamegraph lines.")
@@ -255,8 +245,8 @@ let report_cmd =
          "Print the survey tables (paper Tables 1-3); with a BENCHMARK, run it on the \
           fast path and print the always-on counter report (CPI stack per gate site, hot \
           blocks, hot edges) with optional flamegraph/speedscope/JSON export")
-    Term.(const run $ bench $ technique $ policy $ kind $ iterations_arg $ no_fusion $ vcpus
-          $ top $ json_out $ flame_out $ speedscope_out)
+    Term.(const run $ bench $ technique $ policy $ kind $ iterations_arg $ vcpus $ top
+          $ json_out $ flame_out $ speedscope_out)
 
 (* --- perf-diff --- *)
 
@@ -657,52 +647,10 @@ let verify_cmd =
 (* --- optimize --- *)
 
 let optimize_cmd =
-  let corpus_configs =
-    [
-      ("SFI-w", Framework.config ~address_kind:Instr.Writes Technique.Sfi);
-      ("SFI-r", Framework.config ~address_kind:Instr.Reads Technique.Sfi);
-      ("SFI-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Sfi);
-      ("MPX-w", Framework.config ~address_kind:Instr.Writes Technique.Mpx);
-      ("MPX-r", Framework.config ~address_kind:Instr.Reads Technique.Mpx);
-      ("MPX-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Mpx);
-      ("ISBox-rw", Framework.config ~address_kind:Instr.Reads_and_writes Technique.Isboxing);
-    ]
-    @ List.concat_map
-        (fun (pname, policy) ->
-          List.map
-            (fun (tname, t) ->
-              (Printf.sprintf "%s@%s" tname pname, Framework.config ~switch_policy:policy t))
-            [ ("MPK", Technique.Mpk Mpk.Pkey.No_access); ("VMFUNC", Technique.Vmfunc);
-              ("crypt", Technique.Crypt) ])
-        [
-          ("call-ret", Instr.At_call_ret);
-          ("indirect", Instr.At_indirect_branches);
-          ("syscall", Instr.At_syscalls);
-        ]
-  in
-  (* One optimized build: run it under the profiler and cross-validate the
-     static cost model against the dynamic counts. *)
-  let optimized_run prof cfg iterations =
-    let p = Workloads.Runner.prepare_instrumented ~iterations ~optimize:true prof cfg in
-    let profiler = Profiler.attach p in
-    (match Framework.run p with
-    | X86sim.Cpu.Halted -> ()
-    | X86sim.Cpu.Out_of_fuel -> failwith "optimized program did not terminate");
-    Profiler.stop profiler;
-    let model = Cost_model.predict p.Framework.program p.Framework.sitemap in
-    let validation = Cost_model.validate model profiler in
-    let violations =
-      match Framework.verify_prepared p with
-      | Some r -> List.length r.Gate_analysis.violations
-      | None -> 0
-    in
-    (p, profiler, model, validation, violations)
-  in
-  let run bench asm technique policy kind iterations check stats all json_out =
+  let run bench asm technique policy kind iterations check stats =
     let failed = ref false in
-    let results = ref [] in
-    (match (asm, all) with
-    | Some file, _ ->
+    (match asm with
+    | Some file ->
       (* Instrument + optimize a raw assembly file (address-based only). *)
       let items = X86sim.Asm.parse (read_file file) in
       let mitems =
@@ -749,76 +697,31 @@ let optimize_cmd =
        with Gate_opt.Rejected msg ->
          Printf.eprintf "%s\n" msg;
          failed := true)
-    | None, true ->
-      List.iter
-        (fun (cname, cfg) ->
-          let agg = ref [] and viol = ref 0 and exact = ref 0 and bounded = ref 0
-          and out_of_bounds = ref 0 in
-          List.iter
-            (fun prof ->
-              try
-                let p, _, _, validation, v = optimized_run prof cfg iterations in
-                viol := !viol + v;
-                exact := !exact + validation.Cost_model.n_exact;
-                bounded := !bounded + validation.Cost_model.n_bounded;
-                out_of_bounds := !out_of_bounds + validation.Cost_model.n_violated;
-                match p.Framework.opt_stats with
-                | Some s -> agg := s :: !agg
-                | None -> ()
-              with Gate_opt.Rejected msg ->
-                Printf.eprintf "%s/%s: %s\n" cname prof.Workloads.Profile.name msg;
-                failed := true)
-            Workloads.Spec2006.all;
-          let sum f = List.fold_left (fun a s -> a + f s) 0 !agg in
-          let line =
-            Printf.sprintf
-              "%-16s sites %5d  static %4d  redundant %4d  hoisted %3d  coalesced %4d  \
-               violations %d  cost-model %d exact / %d bounded / %d out"
-              cname
-              (sum (fun s -> s.Gate_opt.sites_total))
-              (sum (fun s -> s.Gate_opt.eliminated_static))
-              (sum (fun s -> s.Gate_opt.eliminated_redundant))
-              (sum (fun s -> s.Gate_opt.hoisted))
-              (sum (fun s -> s.Gate_opt.coalesced_pairs))
-              !viol !exact !bounded !out_of_bounds
-          in
-          print_endline line;
-          if !viol > 0 || !out_of_bounds > 0 then failed := true;
-          results :=
-            ( cname,
-              Ms_util.Json.Obj
-                [
-                  ("sites", Ms_util.Json.Int (sum (fun s -> s.Gate_opt.sites_total)));
-                  ("eliminated_static",
-                   Ms_util.Json.Int (sum (fun s -> s.Gate_opt.eliminated_static)));
-                  ("eliminated_redundant",
-                   Ms_util.Json.Int (sum (fun s -> s.Gate_opt.eliminated_redundant)));
-                  ("hoisted", Ms_util.Json.Int (sum (fun s -> s.Gate_opt.hoisted)));
-                  ("coalesced_pairs",
-                   Ms_util.Json.Int (sum (fun s -> s.Gate_opt.coalesced_pairs)));
-                  ("violations", Ms_util.Json.Int !viol);
-                  ("cost_model_exact", Ms_util.Json.Int !exact);
-                  ("cost_model_bounded", Ms_util.Json.Int !bounded);
-                  ("cost_model_out_of_bounds", Ms_util.Json.Int !out_of_bounds);
-                ] )
-            :: !results)
-        corpus_configs
-    | None, false ->
+    | None ->
       let bench =
         match bench with
         | Some b -> b
         | None ->
-          Printf.eprintf "optimize: name a benchmark, or pass --asm FILE or --all\n";
+          Printf.eprintf "optimize: name a benchmark, or pass --asm FILE\n";
           exit 1
       in
-      let prof = try Workloads.Spec2006.find bench with Not_found ->
-        Printf.eprintf "unknown benchmark %S (try 'list')\n" bench;
-        exit 1
-      in
+      let prof = find_bench bench in
       let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
+      (* One optimized build: run it under the profiler, re-verify it, and
+         cross-validate the static cost model against the dynamic counts. *)
       (try
-         let p, profiler, model, validation, violations =
-           optimized_run prof cfg iterations
+         let p = Workloads.Runner.prepare_instrumented ~iterations ~optimize:true prof cfg in
+         let profiler = Profiler.attach p in
+         (match Framework.run p with
+         | X86sim.Cpu.Halted -> ()
+         | X86sim.Cpu.Out_of_fuel -> failwith "optimized program did not terminate");
+         Profiler.stop profiler;
+         let model = Cost_model.predict p.Framework.program p.Framework.sitemap in
+         let validation = Cost_model.validate model profiler in
+         let violations =
+           match Framework.verify_prepared p with
+           | Some r -> List.length r.Gate_analysis.violations
+           | None -> 0
          in
          (match p.Framework.opt_stats with
          | Some s ->
@@ -839,11 +742,6 @@ let optimize_cmd =
        with Gate_opt.Rejected msg ->
          Printf.eprintf "%s\n" msg;
          failed := true));
-    (match json_out with
-    | Some file when !results <> [] ->
-      Ms_util.Json.to_file file (Ms_util.Json.Obj (List.rev !results));
-      Printf.printf "written to %s\n" file
-    | _ -> ());
     if check && !failed then exit 1
   in
   let bench =
@@ -875,23 +773,13 @@ let optimize_cmd =
     Arg.(value & flag & info [ "stats" ]
            ~doc:"Print the per-site cost-model table (or the optimized assembly with --asm).")
   in
-  let all =
-    Arg.(value & flag & info [ "all" ]
-           ~doc:"Optimize the full fig3-fig6 corpus (all 16 configurations x all workloads).")
-  in
-  let json_out =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"With --all: write the per-config summary (including the static-vs-dynamic \
-                 cost-model comparison) as JSON.")
-  in
   Cmd.v
     (Cmd.info "optimize"
        ~doc:
          "Run the check-motion optimizer (dataflow-proven elimination, loop hoisting, gate \
           coalescing) on instrumented output, re-verify it, and cross-validate the static cost \
           model against the profiler")
-    Term.(const run $ bench $ asm $ technique $ policy $ kind $ iterations_arg $ check $ stats
-          $ all $ json_out)
+    Term.(const run $ bench $ asm $ technique $ policy $ kind $ iterations_arg $ check $ stats)
 
 (* --- attacks --- *)
 

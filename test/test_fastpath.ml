@@ -724,6 +724,56 @@ let prop_optimizer_invisible_under_techniques =
         (fun cfg -> same_outcome (snapshot ?cfg ~hooks:true r) (snapshot_hot ?cfg r))
         all_configs)
 
+(* Whole synthetic SPEC workloads on the plain fast path: no hooks and no
+   site map, so [exec_trace] runs the optimizer's rewritten bodies (a
+   site map, as [Fastprof.install] sets, sends every trace down the
+   careful path and would make this comparison vacuous). Each workload
+   runs three ways: fusion on (the default), fusion off, and traces off.
+   Cycles, the CPI stack and every counter must agree, and the fusion-on
+   run must have installed fused uops and probed its inline translation
+   slots, which proves the optimized bodies ran. At 200 iterations every
+   workload forms traces. *)
+let workload_fusion_invisible () =
+  let iterations = 200 in
+  let mpx_rw = Framework.config ~address_kind:Instr.Reads_and_writes Technique.Mpx in
+  let sfi_rw = Framework.config ~address_kind:Instr.Reads_and_writes Technique.Sfi in
+  List.iter
+    (fun (bench, label, cfg) ->
+      let name = bench ^ " " ^ label in
+      let prof = Workloads.Spec2006.find bench in
+      let run setup =
+        let p =
+          match cfg with
+          | None -> Framework.prepare_baseline (Workloads.Synth.lowered ~iterations prof)
+          | Some cfg -> Workloads.Runner.prepare_instrumented ~iterations prof cfg
+        in
+        let cpu = p.Framework.cpu in
+        setup cpu;
+        (match Framework.run p with
+        | Cpu.Halted -> ()
+        | Cpu.Out_of_fuel -> Alcotest.fail (name ^ " out of fuel"));
+        cpu
+      in
+      let on = run (fun _ -> ()) in
+      List.iter
+        (fun (variant, cpu) ->
+          let what field = Printf.sprintf "%s: %s, fusion on = %s" name field variant in
+          Alcotest.(check (float 0.0)) (what "cycles") (Cpu.cycles cpu) (Cpu.cycles on);
+          Alcotest.(check (array (float 0.0))) (what "CPI stack")
+            (Pipeline.cpi_totals cpu.Cpu.pipe) (Pipeline.cpi_totals on.Cpu.pipe);
+          Alcotest.(check bool) (what "counters") true (cpu.Cpu.counters = on.Cpu.counters))
+        [
+          ("fusion off", run (fun cpu -> Cpu.set_trace_fusion cpu false));
+          ("traces off", run (fun cpu -> Cpu.set_traces_enabled cpu false));
+        ];
+      let tier = on.Cpu.traces in
+      Alcotest.(check bool) (name ^ ": fused uops installed") true (tier.Trace.fused_uops > 0);
+      Alcotest.(check bool) (name ^ ": inline slots probed") true
+        (tier.Trace.inline_hits + tier.Trace.inline_misses > 0))
+    [
+      ("mcf", "baseline", None); ("mcf", "MPX-rw", Some mpx_rw); ("povray", "SFI-rw", Some sfi_rw);
+    ]
+
 (* --- trace tier: loops, side exits, SMC invalidation ------------------- *)
 
 (* A counted loop whose body is one block: forms a single-segment looping
@@ -899,6 +949,8 @@ let suite =
     Alcotest.test_case "inline slot kill switch is invisible" `Quick
       inline_slot_kill_is_invisible;
     Alcotest.test_case "lazy-rip fault precision mid-trace" `Quick lazy_rip_fault_precision;
+    Alcotest.test_case "SPEC workloads: fusion on = fusion off = traces off" `Quick
+      workload_fusion_invisible;
     QCheck_alcotest.to_alcotest prop_optimizer_invisible_under_techniques;
     Alcotest.test_case "superblock side exit: biased jcc loop" `Quick trace_side_exit_jcc;
     Alcotest.test_case "superblock side exit: ret mispredict" `Quick trace_side_exit_indirect;
