@@ -3,7 +3,11 @@
    round keys, equivalent inverse cipher for decryption.
 
    State layout follows the hardware: byte [r + 4*c] of the 16-byte block is
-   state row [r], column [c]. *)
+   state row [r], column [c]. Every round works on the four columns as
+   32-bit little-endian words (row [r] in bits [8r..8r+7]), in place inside
+   a caller's buffer: the simulator runs them directly on its vector
+   register file, so a round allocates nothing and needs no lookup table
+   beyond the two S-boxes. *)
 
 type block = Bytes.t
 
@@ -34,6 +38,135 @@ let inv_sbox =
 let check_block b name =
   if Bytes.length b <> 16 then invalid_arg (Printf.sprintf "Aes.%s: block must be 16 bytes" name)
 
+(* Unboxed 32-bit access, like the simulator's 64-bit lane primitives:
+   chained through [Int32] conversions, the values stay in registers. The
+   unchecked forms are safe because [check_offsets] validates both 16-byte
+   operands once per round. Big-endian hosts take the portable
+   little-endian accessors. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] get_w b i =
+  if Sys.big_endian then Int32.to_int (Bytes.get_int32_le b i) land 0xffffffff
+  else Int32.to_int (get32u b i) land 0xffffffff
+
+let[@inline] set_w b i w =
+  if Sys.big_endian then Bytes.set_int32_le b i (Int32.of_int w)
+  else set32u b i (Int32.of_int w)
+
+let check_offsets buf ~dst ~src name =
+  let hi = Bytes.length buf - 16 in
+  if dst < 0 || dst > hi || src < 0 || src > hi then
+    invalid_arg (Printf.sprintf "Aes.%s: offset out of range" name)
+
+let[@inline] sb x = Array.unsafe_get sbox (x land 0xff)
+let[@inline] isb x = Array.unsafe_get inv_sbox (x land 0xff)
+
+(* One column of SubBytes(ShiftRows state): row [r] comes from column
+   [c + r mod 4], so the caller passes the columns starting at [c]. *)
+let[@inline] sub_shift a b c d =
+  sb a lor (sb (b lsr 8) lsl 8) lor (sb (c lsr 16) lsl 16) lor (sb (d lsr 24) lsl 24)
+
+(* InvSubBytes(InvShiftRows state): row [r] comes from column [c - r mod 4]. *)
+let[@inline] inv_sub_shift a b c d =
+  isb a lor (isb (b lsr 8) lsl 8) lor (isb (c lsr 16) lsl 16) lor (isb (d lsr 24) lsl 24)
+
+(* Multiply all four bytes of a word by x in GF(2^8) (modulus 0x11b). *)
+let[@inline] xtime w = ((w land 0x7f7f7f7f) lsl 1) lxor (((w lsr 7) land 0x01010101) * 0x1b)
+
+(* Byte rotations within a column: [rot8 w] has row [r] = row [r+1] of [w]. *)
+let[@inline] rot8 w = ((w lsr 8) lor (w lsl 24)) land 0xffffffff
+let[@inline] rot16 w = ((w lsr 16) lor (w lsl 16)) land 0xffffffff
+
+(* MixColumns: row r <- 2a_r + 3a_(r+1) + a_(r+2) + a_(r+3). *)
+let[@inline] mix w =
+  let r1 = rot8 w in
+  let r2 = rot16 w in
+  xtime (w lxor r1) lxor r1 lxor r2 lxor rot8 r2
+
+(* InvMixColumns = MixColumns after the pre-step row r <- 5a_r + 4a_(r+2)
+   (the circulant matrices factor as {0e,0b,0d,09} = {02,03,01,01} x
+   {05,00,04,00}). *)
+let[@inline] inv_mix w = mix (w lxor xtime (xtime (w lxor rot16 w)))
+
+(* Every round reads the whole state and key before writing [dst], so
+   [dst = src] (and any overlap) is safe. *)
+let aesenc_into buf ~dst ~src =
+  check_offsets buf ~dst ~src "aesenc_into";
+  let w0 = get_w buf dst and w1 = get_w buf (dst + 4) in
+  let w2 = get_w buf (dst + 8) and w3 = get_w buf (dst + 12) in
+  let c0 = mix (sub_shift w0 w1 w2 w3) lxor get_w buf src in
+  let c1 = mix (sub_shift w1 w2 w3 w0) lxor get_w buf (src + 4) in
+  let c2 = mix (sub_shift w2 w3 w0 w1) lxor get_w buf (src + 8) in
+  let c3 = mix (sub_shift w3 w0 w1 w2) lxor get_w buf (src + 12) in
+  set_w buf dst c0;
+  set_w buf (dst + 4) c1;
+  set_w buf (dst + 8) c2;
+  set_w buf (dst + 12) c3
+
+let aesenclast_into buf ~dst ~src =
+  check_offsets buf ~dst ~src "aesenclast_into";
+  let w0 = get_w buf dst and w1 = get_w buf (dst + 4) in
+  let w2 = get_w buf (dst + 8) and w3 = get_w buf (dst + 12) in
+  let c0 = sub_shift w0 w1 w2 w3 lxor get_w buf src in
+  let c1 = sub_shift w1 w2 w3 w0 lxor get_w buf (src + 4) in
+  let c2 = sub_shift w2 w3 w0 w1 lxor get_w buf (src + 8) in
+  let c3 = sub_shift w3 w0 w1 w2 lxor get_w buf (src + 12) in
+  set_w buf dst c0;
+  set_w buf (dst + 4) c1;
+  set_w buf (dst + 8) c2;
+  set_w buf (dst + 12) c3
+
+let aesdec_into buf ~dst ~src =
+  check_offsets buf ~dst ~src "aesdec_into";
+  let w0 = get_w buf dst and w1 = get_w buf (dst + 4) in
+  let w2 = get_w buf (dst + 8) and w3 = get_w buf (dst + 12) in
+  let c0 = inv_mix (inv_sub_shift w0 w3 w2 w1) lxor get_w buf src in
+  let c1 = inv_mix (inv_sub_shift w1 w0 w3 w2) lxor get_w buf (src + 4) in
+  let c2 = inv_mix (inv_sub_shift w2 w1 w0 w3) lxor get_w buf (src + 8) in
+  let c3 = inv_mix (inv_sub_shift w3 w2 w1 w0) lxor get_w buf (src + 12) in
+  set_w buf dst c0;
+  set_w buf (dst + 4) c1;
+  set_w buf (dst + 8) c2;
+  set_w buf (dst + 12) c3
+
+let aesdeclast_into buf ~dst ~src =
+  check_offsets buf ~dst ~src "aesdeclast_into";
+  let w0 = get_w buf dst and w1 = get_w buf (dst + 4) in
+  let w2 = get_w buf (dst + 8) and w3 = get_w buf (dst + 12) in
+  let c0 = inv_sub_shift w0 w3 w2 w1 lxor get_w buf src in
+  let c1 = inv_sub_shift w1 w0 w3 w2 lxor get_w buf (src + 4) in
+  let c2 = inv_sub_shift w2 w1 w0 w3 lxor get_w buf (src + 8) in
+  let c3 = inv_sub_shift w3 w2 w1 w0 lxor get_w buf (src + 12) in
+  set_w buf dst c0;
+  set_w buf (dst + 4) c1;
+  set_w buf (dst + 8) c2;
+  set_w buf (dst + 12) c3
+
+let aesimc_into buf ~dst ~src =
+  check_offsets buf ~dst ~src "aesimc_into";
+  let c0 = inv_mix (get_w buf src) and c1 = inv_mix (get_w buf (src + 4)) in
+  let c2 = inv_mix (get_w buf (src + 8)) and c3 = inv_mix (get_w buf (src + 12)) in
+  set_w buf dst c0;
+  set_w buf (dst + 4) c1;
+  set_w buf (dst + 8) c2;
+  set_w buf (dst + 12) c3
+
+(* SubWord is [sub_shift] of one column; RotWord ([a0;a1;a2;a3] ->
+   [a1;a2;a3;a0]) is [rot8]. *)
+let aeskeygenassist_into buf ~dst ~src rcon =
+  check_offsets buf ~dst ~src "aeskeygenassist_into";
+  let x1 = get_w buf (src + 4) and x3 = get_w buf (src + 12) in
+  let x1 = sub_shift x1 x1 x1 x1 and x3 = sub_shift x3 x3 x3 x3 in
+  set_w buf dst x1;
+  set_w buf (dst + 4) (rot8 x1 lxor rcon);
+  set_w buf (dst + 8) x3;
+  set_w buf (dst + 12) (rot8 x3 lxor rcon)
+
+(* ------------------------------------------------------------------ *)
+(* Pure API: fresh blocks, inputs untouched                            *)
+(* ------------------------------------------------------------------ *)
+
 let block_of_hex s =
   if String.length s <> 32 then invalid_arg "Aes.block_of_hex: need 32 hex digits";
   let b = Bytes.create 16 in
@@ -48,129 +181,38 @@ let hex_of_block b =
   Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
   Buffer.contents buf
 
-let xor_block a b =
-  check_block a "xor_block";
-  check_block b "xor_block";
-  let out = Bytes.create 16 in
-  for i = 0 to 15 do
-    Bytes.set_uint8 out i (Bytes.get_uint8 a i lxor Bytes.get_uint8 b i)
-  done;
-  out
+let xor_into buf ~dst ~src =
+  for i = 0 to 3 do
+    set_w buf (dst + (4 * i)) (get_w buf (dst + (4 * i)) lxor get_w buf (src + (4 * i)))
+  done
 
-(* GF(2^8) multiplication with the AES polynomial x^8+x^4+x^3+x+1. *)
-let gmul a b =
-  let rec go a b acc =
-    if b = 0 then acc
-    else
-      let acc = if b land 1 = 1 then acc lxor a else acc in
-      let a = if a land 0x80 <> 0 then ((a lsl 1) lxor 0x11b) land 0xff else (a lsl 1) land 0xff in
-      go a (b lsr 1) acc
-  in
-  go a b 0
+(* [state] at 0, [key] at 16 of one scratch buffer; the result is its
+   first half. *)
+let binop into name state key =
+  check_block state name;
+  check_block key name;
+  let buf = Bytes.create 32 in
+  Bytes.blit state 0 buf 0 16;
+  Bytes.blit key 0 buf 16 16;
+  into buf ~dst:0 ~src:16;
+  Bytes.sub buf 0 16
 
-let map_bytes f b =
-  let out = Bytes.create 16 in
-  for i = 0 to 15 do
-    Bytes.set_uint8 out i (f (Bytes.get_uint8 b i))
-  done;
-  out
-
-let sub_bytes b = map_bytes (fun v -> sbox.(v)) b
-let inv_sub_bytes b = map_bytes (fun v -> inv_sbox.(v)) b
-
-(* Row r is rotated left by r positions: out[r + 4c] = in[r + 4((c+r) mod 4)]. *)
-let shift_rows b =
-  let out = Bytes.create 16 in
-  for r = 0 to 3 do
-    for c = 0 to 3 do
-      Bytes.set_uint8 out (r + (4 * c)) (Bytes.get_uint8 b (r + (4 * ((c + r) mod 4))))
-    done
-  done;
-  out
-
-let inv_shift_rows b =
-  let out = Bytes.create 16 in
-  for r = 0 to 3 do
-    for c = 0 to 3 do
-      Bytes.set_uint8 out (r + (4 * ((c + r) mod 4))) (Bytes.get_uint8 b (r + (4 * c)))
-    done
-  done;
-  out
-
-let mix_columns_with m b =
-  let out = Bytes.create 16 in
-  for c = 0 to 3 do
-    let s i = Bytes.get_uint8 b ((4 * c) + i) in
-    for r = 0 to 3 do
-      let v =
-        gmul m.(r).(0) (s 0) lxor gmul m.(r).(1) (s 1)
-        lxor gmul m.(r).(2) (s 2) lxor gmul m.(r).(3) (s 3)
-      in
-      Bytes.set_uint8 out ((4 * c) + r) v
-    done
-  done;
-  out
-
-let mc_fwd = [| [| 2; 3; 1; 1 |]; [| 1; 2; 3; 1 |]; [| 1; 1; 2; 3 |]; [| 3; 1; 1; 2 |] |]
-let mc_inv = [| [| 14; 11; 13; 9 |]; [| 9; 14; 11; 13 |]; [| 13; 9; 14; 11 |]; [| 11; 13; 9; 14 |] |]
-
-let mix_columns b = mix_columns_with mc_fwd b
-let inv_mix_columns b = mix_columns_with mc_inv b
-
-let aesenc state key =
-  check_block state "aesenc";
-  check_block key "aesenc";
-  xor_block (mix_columns (sub_bytes (shift_rows state))) key
-
-let aesenclast state key =
-  check_block state "aesenclast";
-  check_block key "aesenclast";
-  xor_block (sub_bytes (shift_rows state)) key
-
-let aesdec state key =
-  check_block state "aesdec";
-  check_block key "aesdec";
-  xor_block (inv_mix_columns (inv_sub_bytes (inv_shift_rows state))) key
-
-let aesdeclast state key =
-  check_block state "aesdeclast";
-  check_block key "aesdeclast";
-  xor_block (inv_sub_bytes (inv_shift_rows state)) key
+let xor_block a b = binop xor_into "xor_block" a b
+let aesenc state key = binop aesenc_into "aesenc" state key
+let aesenclast state key = binop aesenclast_into "aesenclast" state key
+let aesdec state key = binop aesdec_into "aesdec" state key
+let aesdeclast state key = binop aesdeclast_into "aesdeclast" state key
 
 let aesimc key =
   check_block key "aesimc";
-  inv_mix_columns key
-
-let get_dword b i =
-  Bytes.get_uint8 b (4 * i)
-  lor (Bytes.get_uint8 b ((4 * i) + 1) lsl 8)
-  lor (Bytes.get_uint8 b ((4 * i) + 2) lsl 16)
-  lor (Bytes.get_uint8 b ((4 * i) + 3) lsl 24)
-
-let set_dword b i v =
-  Bytes.set_uint8 b (4 * i) (v land 0xff);
-  Bytes.set_uint8 b ((4 * i) + 1) ((v lsr 8) land 0xff);
-  Bytes.set_uint8 b ((4 * i) + 2) ((v lsr 16) land 0xff);
-  Bytes.set_uint8 b ((4 * i) + 3) ((v lsr 24) land 0xff)
-
-let sub_word w =
-  sbox.(w land 0xff)
-  lor (sbox.((w lsr 8) land 0xff) lsl 8)
-  lor (sbox.((w lsr 16) land 0xff) lsl 16)
-  lor (sbox.((w lsr 24) land 0xff) lsl 24)
-
-(* Byte rotation [a0;a1;a2;a3] -> [a1;a2;a3;a0]; on a little-endian dword
-   this is a 32-bit rotate right by 8. *)
-let rot_word w = ((w lsr 8) lor (w lsl 24)) land 0xffffffff
+  let out = Bytes.copy key in
+  aesimc_into out ~dst:0 ~src:0;
+  out
 
 let aeskeygenassist src rcon =
   check_block src "aeskeygenassist";
-  let x1 = get_dword src 1 and x3 = get_dword src 3 in
-  let out = Bytes.create 16 in
-  set_dword out 0 (sub_word x1);
-  set_dword out 1 (rot_word (sub_word x1) lxor rcon);
-  set_dword out 2 (sub_word x3);
-  set_dword out 3 (rot_word (sub_word x3) lxor rcon);
+  let out = Bytes.copy src in
+  aeskeygenassist_into out ~dst:0 ~src:0 rcon;
   out
 
 let rcons = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
@@ -178,19 +220,20 @@ let rcons = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
 let expand_key key =
   check_block key "expand_key";
   let keys = Array.make 11 key in
+  let assist = Bytes.create 16 in
   for round = 1 to 10 do
     let prev = keys.(round - 1) in
-    let assist = aeskeygenassist prev rcons.(round - 1) in
-    let t = get_dword assist 3 in
+    Bytes.blit prev 0 assist 0 16;
+    aeskeygenassist_into assist ~dst:0 ~src:0 rcons.(round - 1);
     let k = Bytes.create 16 in
-    let k0 = get_dword prev 0 lxor t in
-    let k1 = get_dword prev 1 lxor k0 in
-    let k2 = get_dword prev 2 lxor k1 in
-    let k3 = get_dword prev 3 lxor k2 in
-    set_dword k 0 k0;
-    set_dword k 1 k1;
-    set_dword k 2 k2;
-    set_dword k 3 k3;
+    let k0 = get_w prev 0 lxor get_w assist 12 in
+    let k1 = get_w prev 4 lxor k0 in
+    let k2 = get_w prev 8 lxor k1 in
+    let k3 = get_w prev 12 lxor k2 in
+    set_w k 0 k0;
+    set_w k 4 k1;
+    set_w k 8 k2;
+    set_w k 12 k3;
     keys.(round) <- k
   done;
   keys
@@ -199,34 +242,59 @@ let inv_round_keys keys =
   if Array.length keys <> 11 then invalid_arg "Aes.inv_round_keys: need 11 round keys";
   Array.mapi (fun i k -> if i = 0 || i = 10 then k else aesimc k) keys
 
-let encrypt_block ~key block =
-  if Array.length key <> 11 then invalid_arg "Aes.encrypt_block: need 11 round keys";
-  check_block block "encrypt_block";
-  let state = ref (xor_block block key.(0)) in
+let encrypt_at buf ~pos ~ks =
+  xor_into buf ~dst:pos ~src:ks;
   for round = 1 to 9 do
-    state := aesenc !state key.(round)
+    aesenc_into buf ~dst:pos ~src:(ks + (16 * round))
   done;
-  aesenclast !state key.(10)
+  aesenclast_into buf ~dst:pos ~src:(ks + 160)
+
+let decrypt_at buf ~pos ~ks =
+  xor_into buf ~dst:pos ~src:(ks + 160);
+  for round = 9 downto 1 do
+    aesdec_into buf ~dst:pos ~src:(ks + (16 * round))
+  done;
+  aesdeclast_into buf ~dst:pos ~src:ks
+
+(* One working buffer per call: [data] at 0, then the 11 round keys at
+   [n + 16*i] ([aesimc]-transformed for decryption), so every round runs
+   in place with no per-block allocation. The result is its first [n]
+   bytes. *)
+let run_blocks ~inverse name ~key data =
+  if Array.length key <> 11 then invalid_arg (Printf.sprintf "Aes.%s: need 11 round keys" name);
+  let n = Bytes.length data in
+  let buf = Bytes.create (n + 176) in
+  Bytes.blit data 0 buf 0 n;
+  Array.iteri
+    (fun i k ->
+      check_block k name;
+      Bytes.blit k 0 buf (n + (16 * i)) 16)
+    key;
+  if inverse then
+    for i = 1 to 9 do
+      aesimc_into buf ~dst:(n + (16 * i)) ~src:(n + (16 * i))
+    done;
+  let f = if inverse then decrypt_at else encrypt_at in
+  for i = 0 to (n / 16) - 1 do
+    f buf ~pos:(16 * i) ~ks:n
+  done;
+  Bytes.sub buf 0 n
+
+let encrypt_block ~key block =
+  check_block block "encrypt_block";
+  run_blocks ~inverse:false "encrypt_block" ~key block
 
 let decrypt_block ~key block =
-  if Array.length key <> 11 then invalid_arg "Aes.decrypt_block: need 11 round keys";
   check_block block "decrypt_block";
-  let dk = inv_round_keys key in
-  let state = ref (xor_block block dk.(10)) in
-  for round = 9 downto 1 do
-    state := aesdec !state dk.(round)
-  done;
-  aesdeclast !state dk.(0)
+  run_blocks ~inverse:true "decrypt_block" ~key block
 
-let map_blocks f ~key buf =
-  let n = Bytes.length buf in
-  if n mod 16 <> 0 then invalid_arg "Aes: buffer length must be a multiple of 16";
-  let out = Bytes.create n in
-  for i = 0 to (n / 16) - 1 do
-    let chunk = Bytes.sub buf (16 * i) 16 in
-    Bytes.blit (f ~key chunk) 0 out (16 * i) 16
-  done;
-  out
+let check_multiple buf =
+  if Bytes.length buf mod 16 <> 0 then invalid_arg "Aes: buffer length must be a multiple of 16"
 
-let encrypt_bytes ~key buf = map_blocks encrypt_block ~key buf
-let decrypt_bytes ~key buf = map_blocks decrypt_block ~key buf
+let encrypt_bytes ~key buf =
+  check_multiple buf;
+  run_blocks ~inverse:false "encrypt_bytes" ~key buf
+
+let decrypt_bytes ~key buf =
+  check_multiple buf;
+  run_blocks ~inverse:true "decrypt_bytes" ~key buf

@@ -154,6 +154,13 @@ let xmm_xor_into t d s =
 let pkru t = t.mmu.Mmu.pkru
 let set_pkru t v = t.mmu.Mmu.pkru <- v land 0xFFFFFFFF
 
+(* One serializing special-port issue: a kernel or hypervisor path, a
+   fence, or a gate. [lat] is a constant at most call sites, so the call
+   allocates nothing. *)
+let special t ~lat =
+  Pipeline.issue_gate t.pipe ~s1:Reg.pipe_none ~s2:Reg.pipe_none ~d1:Reg.pipe_none ~lat ~busy:1.0
+    ~serialize:true ~port:Pipeline.p_special
+
 (* Charge the initiating core for waiting out the shootdown IPIs its
    mapping change just broadcast: one send+acknowledge round trip per
    remote core, serializing (the kernel spins with interrupts off until
@@ -162,9 +169,7 @@ let set_pkru t v = t.mmu.Mmu.pkru <- v land 0xFFFFFFFF
 let charge_shootdown_ipis t =
   let remotes = Mmu.core_count t.mmu - 1 in
   if remotes > 0 then
-    Pipeline.issue t.pipe ~serialize:true
-      ~lat:(float_of_int remotes *. ipi_cost)
-      ~port:Pipeline.p_special ()
+    special t ~lat:(float_of_int remotes *. ipi_cost)
 
 let default_syscall_handler t =
   let nr = t.gpr.(Reg.rax) in
@@ -179,26 +184,26 @@ let default_syscall_handler t =
     let addr = t.gpr.(Reg.rdi) and len = t.gpr.(Reg.rsi) and prot = t.gpr.(Reg.rdx) in
     Mmu.protect_range t.mmu ~va:addr ~len ~readable:(prot land 1 = 1)
       ~writable:(prot land 2 = 2);
-    Pipeline.issue t.pipe ~serialize:true ~lat:mprotect_kernel_cost ~port:Pipeline.p_special ();
+    special t ~lat:mprotect_kernel_cost;
     charge_shootdown_ipis t;
     t.gpr.(Reg.rax) <- 0
   end
   else if nr = sys_munmap then begin
     let addr = t.gpr.(Reg.rdi) and len = t.gpr.(Reg.rsi) in
     Mmu.unmap_range t.mmu ~va:addr ~len;
-    Pipeline.issue t.pipe ~serialize:true ~lat:mprotect_kernel_cost ~port:Pipeline.p_special ();
+    special t ~lat:mprotect_kernel_cost;
     charge_shootdown_ipis t;
     t.gpr.(Reg.rax) <- 0
   end
   else if nr = sys_pkey_mprotect then begin
     let addr = t.gpr.(Reg.rdi) and len = t.gpr.(Reg.rsi) and key = t.gpr.(Reg.r10) in
     Mmu.set_pkey_range t.mmu ~va:addr ~len ~key;
-    Pipeline.issue t.pipe ~serialize:true ~lat:mprotect_kernel_cost ~port:Pipeline.p_special ();
+    special t ~lat:mprotect_kernel_cost;
     charge_shootdown_ipis t;
     t.gpr.(Reg.rax) <- 0
   end
   else if nr = sys_io then begin
-    Pipeline.issue t.pipe ~serialize:true ~lat:io_kernel_cost ~port:Pipeline.p_special ();
+    special t ~lat:io_kernel_cost;
     t.gpr.(Reg.rax) <- 4096 (* bytes transferred *)
   end
   else if nr = sys_write || nr = sys_nop then t.gpr.(Reg.rax) <- 0
@@ -478,13 +483,6 @@ let pop t =
   t.gpr.(Reg.rsp) <- t.gpr.(Reg.rsp) + 8;
   v
 
-let aes_binop t f d s ~lat =
-  let result = f (get_xmm t d) (get_xmm t s) in
-  set_xmm t d result;
-  t.counters.aes_ops <- t.counters.aes_ops + 1;
-  Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm d) ~s2:(Reg.pipe_xmm s) ~s3:nr
-       ~d1:(Reg.pipe_xmm d) ~d2:nr ~lat ~port:Pipeline.p_aes
-
 (* The six handler-running (serializing) instructions, which every loop
    reaches as a [Ublock.Term_exec] terminator. The block tier ends its
    chain after one, because its handler may attach hooks or swap the
@@ -503,16 +501,16 @@ let exec t (insn : Insn.t) =
       c.vmcalls <- c.vmcalls + 1;
       c.vm_exits <- c.vm_exits + 1;
       if t.n_event_hooks > 0 then emit t (Event.Vm_exit { rip = t.rip; reason = "syscall" });
-      Pipeline.issue t.pipe ~serialize:true ~lat:vmcall_cost ~port:Pipeline.p_special ()
+      special t ~lat:vmcall_cost
     end
-    else Pipeline.issue t.pipe ~serialize:true ~lat:syscall_cost ~port:Pipeline.p_special ();
+    else special t ~lat:syscall_cost;
     t.syscall_handler t;
     t.rip <- next
   | Insn.Mfence ->
-    Pipeline.issue t.pipe ~serialize:true ~lat:6.0 ~port:Pipeline.p_special ();
+    special t ~lat:6.0;
     t.rip <- next
   | Insn.Cpuid ->
-    Pipeline.issue t.pipe ~serialize:true ~lat:100.0 ~port:Pipeline.p_special ();
+    special t ~lat:100.0;
     t.rip <- next
   | Insn.Wrpkru ->
     if t.gpr.(Reg.rcx) <> 0 || t.gpr.(Reg.rdx) <> 0 then
@@ -527,8 +525,8 @@ let exec t (insn : Insn.t) =
         (if pkru t = 0 then Event.Gate_enter { rip = t.rip; gate }
          else Event.Gate_exit { rip = t.rip; gate })
     end;
-    Pipeline.issue t.pipe ~s1:(Reg.pipe_gpr Reg.rax) ~d1:Reg.pipe_pkru
-      ~serialize:t.wrpkru_serialize ~lat:wrpkru_cost ~port:Pipeline.p_special ();
+    Pipeline.issue_gate t.pipe ~s1:(Reg.pipe_gpr Reg.rax) ~s2:nr ~d1:Reg.pipe_pkru ~lat:wrpkru_cost
+      ~busy:1.0 ~serialize:t.wrpkru_serialize ~port:Pipeline.p_special;
     t.rip <- next
   | Insn.Vmfunc ->
     if not t.virtualized then
@@ -548,8 +546,8 @@ let exec t (insn : Insn.t) =
         (if idx <> 0 then Event.Gate_enter { rip = t.rip; gate }
          else Event.Gate_exit { rip = t.rip; gate })
     end;
-    Pipeline.issue t.pipe ~s1:(Reg.pipe_gpr Reg.rax) ~s2:(Reg.pipe_gpr Reg.rcx)
-      ~serialize:true ~lat:vmfunc_cost ~port:Pipeline.p_special ();
+    Pipeline.issue_gate t.pipe ~s1:(Reg.pipe_gpr Reg.rax) ~s2:(Reg.pipe_gpr Reg.rcx) ~d1:nr
+      ~lat:vmfunc_cost ~busy:1.0 ~serialize:true ~port:Pipeline.p_special;
     t.rip <- next
   | Insn.Vmcall ->
     if not t.virtualized then
@@ -557,7 +555,7 @@ let exec t (insn : Insn.t) =
     c.vmcalls <- c.vmcalls + 1;
     c.vm_exits <- c.vm_exits + 1;
     if t.n_event_hooks > 0 then emit t (Event.Vm_exit { rip = t.rip; reason = "vmcall" });
-    Pipeline.issue t.pipe ~serialize:true ~lat:vmcall_cost ~port:Pipeline.p_special ();
+    special t ~lat:vmcall_cost;
     t.vmcall_handler t;
     t.rip <- next
   | _ -> invalid_arg "Cpu.exec: not a handler-running instruction"
@@ -823,22 +821,26 @@ let exec_uop t (u : Ublock.uop) =
     (* [Pxor], and [Fp_arith]'s deterministic stand-in semantics. *)
     xmm_xor_into t d s;
     Pipeline.issue_packed_static t.pipe ~meta
-  | Ublock.Uaes { f; d; s } -> aes_binop t f d s ~lat:4
+  | Ublock.Uaes { f; d; s } ->
+    f t.xmm ~dst:(32 * d) ~src:(32 * s);
+    c.aes_ops <- c.aes_ops + 1;
+    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm d) ~s2:(Reg.pipe_xmm s) ~s3:nr
+      ~d1:(Reg.pipe_xmm d) ~d2:nr ~lat:4 ~port:Pipeline.p_aes
   | Ublock.Uaeskeygen { d; s; imm; meta } ->
-    set_xmm t d (Aesni.Aes.aeskeygenassist (get_xmm t s) imm);
+    Aesni.Aes.aeskeygenassist_into t.xmm ~dst:(32 * d) ~src:(32 * s) imm;
     c.aes_ops <- c.aes_ops + 1;
     Pipeline.issue_packed_static t.pipe ~meta
   | Ublock.Uaesimc { d; s } ->
-    set_xmm t d (Aesni.Aes.aesimc (get_xmm t s));
+    Aesni.Aes.aesimc_into t.xmm ~dst:(32 * d) ~src:(32 * s);
     c.aes_ops <- c.aes_ops + 1;
     (* Microcoded: occupies the AES unit for its full latency. *)
-    Pipeline.issue t.pipe ~s1:(Reg.pipe_xmm s) ~d1:(Reg.pipe_xmm d) ~lat:8.0 ~busy:8.0
-      ~port:Pipeline.p_aes ()
+    Pipeline.issue_gate t.pipe ~s1:(Reg.pipe_xmm s) ~s2:nr ~d1:(Reg.pipe_xmm d) ~lat:8.0
+      ~busy:8.0 ~serialize:false ~port:Pipeline.p_aes
   | Ublock.Uvext_high { d; s; meta } ->
-    set_xmm t d (get_ymm_high t s);
+    Bytes.blit t.xmm ((32 * s) + 16) t.xmm (32 * d) 16;
     Pipeline.issue_packed_static t.pipe ~meta
   | Ublock.Uvins_high { d; s; meta } ->
-    set_ymm_high t d (get_xmm t s);
+    Bytes.blit t.xmm (32 * s) t.xmm ((32 * d) + 16) 16;
     Pipeline.issue_packed_static t.pipe ~meta
   (* --- Trace-lane optimized shapes (Traceopt). Each arm is the eager
      arm above with either the flag write dropped (_nf), an inline
@@ -976,7 +978,7 @@ let rec exec_attempt t o saved n =
   | Fault.Fault (Fault.Ept_violation { gpa; access; _ } as f) ->
     t.counters.vm_exits <- t.counters.vm_exits + 1;
     if t.n_event_hooks > 0 then emit t (Event.Vm_exit { rip = saved; reason = "ept-violation" });
-    Pipeline.issue t.pipe ~serialize:true ~lat:ept_violation_cost ~port:Pipeline.p_special ();
+    special t ~lat:ept_violation_cost;
     if n < 8 && t.ept_violation_handler t ~gpa ~access then begin
       t.rip <- saved;
       exec_attempt t o saved (n + 1)
@@ -1015,22 +1017,24 @@ let step t =
 (* Follow a static chain edge out of [blk]: honor the cached successor
    link when generation-fresh, otherwise look the target up (compiling on
    demand) and memoize the link. A target outside the code array ends the
-   chain — the dispatch loop re-raises it as the fetch fault. *)
-let follow_static cache (blk : Ublock.block) bcell chaining target ~taken =
+   chain ([Ublock.dummy_block]) — the dispatch loop re-raises it as the
+   fetch fault. Returning the block, rather than writing the caller's
+   refs, keeps those refs in registers. *)
+let follow_static cache (blk : Ublock.block) target ~taken =
   let nb = if taken then blk.Ublock.succ_taken else blk.Ublock.succ_fall in
-  if nb != Ublock.dummy_block && nb.Ublock.bgen = Ublock.generation cache then bcell := nb
+  if nb != Ublock.dummy_block && nb.Ublock.bgen = Ublock.generation cache then nb
   else if target >= 0 && target < Ublock.code_length cache then begin
     let nb = Ublock.get cache target in
     if taken then blk.Ublock.succ_taken <- nb else blk.Ublock.succ_fall <- nb;
-    bcell := nb
+    nb
   end
-  else chaining := false
+  else Ublock.dummy_block
 
 (* Indirect-branch targets change between executions, so they are never
    memoized in the block — just looked up. *)
-let follow_dynamic cache bcell chaining target =
-  if target >= 0 && target < Ublock.code_length cache then bcell := Ublock.get cache target
-  else chaining := false
+let follow_dynamic cache target =
+  if target >= 0 && target < Ublock.code_length cache then Ublock.get cache target
+  else Ublock.dummy_block
 
 (* Execute translated blocks starting at [b0], following chain links
    until fuel runs out, the CPU halts, a handler-running terminator ends
@@ -1084,56 +1088,59 @@ let exec_block_chain t cache b0 budget =
         decr budget;
         incr i
       done;
-    if !i < n || !budget <= 0 then begin
-      (* Fuel exhausted: resume at the first unexecuted instruction
-         (the terminator itself when [i = n], since [term_idx = entry + n]). *)
-      t.rip <- entry + !i;
-      chaining := false
-    end
-    else begin
-      let ti = blk.Ublock.term_idx in
-      t.rip <- ti;
-      if mapped && ti < Array.length map then
-        Pipeline.set_row t.pipe (Array.unsafe_get map ti);
-      match blk.Ublock.term with
-      | Ublock.Term_fall_off ->
-        (* Ran off the end of the code array: the dispatch loop turns
-           this rip into the fault [Program.fetch] raises, uncounted,
-           exactly as [step]'s fetch would. *)
-        chaining := false
-      | Ublock.Term_halt ->
-        c.insns <- c.insns + 1;
-        t.halted <- true;
-        decr budget;
-        chaining := false
-      | Ublock.Term_exec insn ->
-        c.insns <- c.insns + 1;
-        exec t insn;
-        decr budget;
-        (* Serializing/handler instruction: its handler may have attached
-           hooks or swapped the program, so always fall back to the
-           dispatch loop, which re-checks both. *)
-        chaining := false
-      | (Ublock.Term_jmp _ | Ublock.Term_jcc _ | Ublock.Term_call _) as term ->
-        c.insns <- c.insns + 1;
-        let taken = exec_branch t term in
-        decr budget;
-        if taken then blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count
-        else blk.Ublock.fall_count <- Ublock.bump blk.Ublock.fall_count;
-        follow_static cache blk bcell chaining t.rip ~taken
-      | (Ublock.Term_call_r _ | Ublock.Term_jmp_r _ | Ublock.Term_ret) as term ->
-        c.insns <- c.insns + 1;
-        ignore (exec_branch t term);
-        decr budget;
-        Ublock.note_dyn blk t.rip;
-        follow_dynamic cache bcell chaining t.rip
-    end;
+    let next =
+      if !i < n || !budget <= 0 then begin
+        (* Fuel exhausted: resume at the first unexecuted instruction
+           (the terminator itself when [i = n], since [term_idx = entry + n]). *)
+        t.rip <- entry + !i;
+        Ublock.dummy_block
+      end
+      else begin
+        let ti = blk.Ublock.term_idx in
+        t.rip <- ti;
+        if mapped && ti < Array.length map then
+          Pipeline.set_row t.pipe (Array.unsafe_get map ti);
+        match blk.Ublock.term with
+        | Ublock.Term_fall_off ->
+          (* Ran off the end of the code array: the dispatch loop turns
+             this rip into the fault [Program.fetch] raises, uncounted,
+             exactly as [step]'s fetch would. *)
+          Ublock.dummy_block
+        | Ublock.Term_halt ->
+          c.insns <- c.insns + 1;
+          t.halted <- true;
+          decr budget;
+          Ublock.dummy_block
+        | Ublock.Term_exec insn ->
+          c.insns <- c.insns + 1;
+          exec t insn;
+          decr budget;
+          (* Serializing/handler instruction: its handler may have attached
+             hooks or swapped the program, so always fall back to the
+             dispatch loop, which re-checks both. *)
+          Ublock.dummy_block
+        | (Ublock.Term_jmp _ | Ublock.Term_jcc _ | Ublock.Term_call _) as term ->
+          c.insns <- c.insns + 1;
+          let taken = exec_branch t term in
+          decr budget;
+          if taken then blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count
+          else blk.Ublock.fall_count <- Ublock.bump blk.Ublock.fall_count;
+          follow_static cache blk t.rip ~taken
+        | (Ublock.Term_call_r _ | Ublock.Term_jmp_r _ | Ublock.Term_ret) as term ->
+          c.insns <- c.insns + 1;
+          ignore (exec_branch t term);
+          decr budget;
+          Ublock.note_dyn blk t.rip;
+          follow_dynamic cache t.rip
+      end
+    in
     (* If a superblock is registered at the next block's entry, stop
        chaining so the dispatch loop tiers up ([t.rip] already names that
        entry). Cost on the no-trace path: one array load per followed
        edge. *)
-    if !chaining && Trace.at t.traces (!bcell).Ublock.entry != Trace.dummy_trace then
-      chaining := false
+    if next == Ublock.dummy_block || Trace.at t.traces next.Ublock.entry != Trace.dummy_trace
+    then chaining := false
+    else bcell := next
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1417,7 +1424,7 @@ let run_fast t budget =
         t.counters.vm_exits <- t.counters.vm_exits + 1;
         if t.n_event_hooks > 0 then
           emit t (Event.Vm_exit { rip = saved; reason = "ept-violation" });
-        Pipeline.issue t.pipe ~serialize:true ~lat:ept_violation_cost ~port:Pipeline.p_special ();
+        special t ~lat:ept_violation_cost;
         let n = if !retry_marker = t.counters.insns then !retries else 0 in
         if n < 8 && t.ept_violation_handler t ~gpa ~access then begin
           retry_marker := t.counters.insns;

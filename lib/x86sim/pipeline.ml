@@ -369,17 +369,25 @@ let issue_packed_pair_static t ~m1 ~m2 =
     ~lat:(float_of_int (m2 lsr meta_lat_shift))
     ~busy:(Array.unsafe_get recip_throughput port2)
 
-let issue_t t ?(s1 = -1) ?(s2 = -1) ?(s3 = -1) ?(d1 = -1) ?(d2 = -1) ?(dep = 0.0) ?(lat = 1.0)
-    ?busy ?(serialize = false) ~port () =
+(* The labeled and gate forms: floats go through the io slots, so a
+   caller passing constant latencies allocates nothing. The pending
+   [io_dep] floor is consumed as in [issue_fast] (only a load's issue ever
+   leaves one). *)
+let issue_gate t ~s1 ~s2 ~d1 ~lat ~busy ~serialize ~port =
   let clk = t.clk in
-  clk.(io_dep) <- dep;
   clk.(io_lat) <- lat;
-  clk.(io_busy) <- (match busy with Some b -> b | None -> recip_throughput.(port));
-  issue_core t ~s1 ~s2 ~s3 ~d1 ~d2 ~serialize ~port;
-  clk.(io_comp)
+  clk.(io_busy) <- busy;
+  issue_core t ~s1 ~s2 ~s3:(-1) ~d1 ~d2:(-1) ~serialize ~port
 
-let issue t ?s1 ?s2 ?s3 ?d1 ?d2 ?dep ?lat ?busy ?serialize ~port () =
-  ignore (issue_t t ?s1 ?s2 ?s3 ?d1 ?d2 ?dep ?lat ?busy ?serialize ~port ())
+let issue_t t ?(s1 = -1) ?(s2 = -1) ?(d1 = -1) ?(dep = 0.0) ?(lat = 1.0) ?busy
+    ?(serialize = false) ~port () =
+  t.clk.(io_dep) <- dep;
+  let busy = match busy with Some b -> b | None -> recip_throughput.(port) in
+  issue_gate t ~s1 ~s2 ~d1 ~lat ~busy ~serialize ~port;
+  t.clk.(io_comp)
+
+let issue t ?s1 ?s2 ?d1 ?dep ?lat ?busy ?serialize ~port () =
+  ignore (issue_t t ?s1 ?s2 ?d1 ?dep ?lat ?busy ?serialize ~port ())
 
 let cycles t = fmax t.clk.(i_fetch) t.clk.(i_maxc)
 

@@ -39,9 +39,7 @@ val issue_t :
   t ->
   ?s1:int ->
   ?s2:int ->
-  ?s3:int ->
   ?d1:int ->
-  ?d2:int ->
   ?dep:float ->
   ?lat:float ->
   ?busy:float ->
@@ -49,22 +47,20 @@ val issue_t :
   port:int ->
   unit ->
   float
-(** Record one executed instruction: source registers [s1..s3], destination
-    registers [d1..d2], result latency [lat] (default 1.0) on [port].
-    [serialize] makes it wait for all prior completions and stalls
+(** Record one executed instruction: source registers [s1], [s2],
+    destination register [d1], result latency [lat] (default 1.0) on
+    [port]. [serialize] makes it wait for all prior completions and stalls
     subsequent fetch until it completes. [dep] is an extra time floor used
     for non-register dependencies (store-to-load ordering through memory).
     [busy] overrides the port's default occupancy for microcoded
     instructions. Returns the completion time — what a dependent consumer
-    would use as its [dep]. *)
+    would use as its [dep]. A wrapper over {!issue_gate}. *)
 
 val issue :
   t ->
   ?s1:int ->
   ?s2:int ->
-  ?s3:int ->
   ?d1:int ->
-  ?d2:int ->
   ?dep:float ->
   ?lat:float ->
   ?busy:float ->
@@ -73,6 +69,16 @@ val issue :
   unit ->
   unit
 (** {!issue_t} with the completion time discarded. *)
+
+val issue_gate :
+  t -> s1:int -> s2:int -> d1:int -> lat:float -> busy:float -> serialize:bool -> port:int -> unit
+(** {!issue_t} with every argument mandatory (pass [Reg.pipe_none] for an
+    absent register; [busy] 1.0 is every port's default occupancy) and no
+    return value: the form for gate crossings and other serializing or
+    microcoded instructions on the simulation fast path. It builds no
+    [Some] box and no float box per call when [lat]/[busy] are constants.
+    Like {!issue_fast}, it consumes a floor deposited in [io.(io_dep)]
+    and leaves the completion time in [io.(io_comp)]. *)
 
 val issue_fast :
   t -> s1:int -> s2:int -> s3:int -> d1:int -> d2:int -> lat:int -> port:int -> unit
@@ -84,7 +90,7 @@ val issue_fast :
     call (it self-resets to 0 after each issue), read the completion time
     from [io.(io_comp)] after. Covers the non-serializing,
     default-occupancy case — serializing or microcoded instructions use
-    the labeled forms. Numerically identical to {!issue_t}: both delegate
+    {!issue_gate}. Numerically identical to {!issue_t}: both delegate
     to one core. *)
 
 val pack : s1:int -> s2:int -> s3:int -> d1:int -> d2:int -> lat:int -> port:int -> int

@@ -424,6 +424,14 @@ let exhaustive_cases : (string * (unit -> Program.item list)) list =
     ("aesimc", fun () -> i (Insn.Aesimc (3, 1)) :: halt);
     ("vext_high", fun () -> i (Insn.Vext_high (2, 1)) :: halt);
     ("vins_high", fun () -> i (Insn.Vins_high (2, 1)) :: halt);
+    (* Aliased operands: the in-place semantics read both operands before
+       writing the destination, exactly as with distinct registers. *)
+    ("aesenc_aliased", fun () -> i (Insn.Aesenc (1, 1)) :: halt);
+    ("aesdec_aliased", fun () -> i (Insn.Aesdec (1, 1)) :: halt);
+    ("aesimc_aliased", fun () -> i (Insn.Aesimc (3, 3)) :: halt);
+    ("aeskeygenassist_aliased", fun () -> i (Insn.Aeskeygenassist (1, 1, 0x1b)) :: halt);
+    ("vext_high_aliased", fun () -> i (Insn.Vext_high (1, 1)) :: halt);
+    ("vins_high_aliased", fun () -> i (Insn.Vins_high (1, 1)) :: halt);
     ("fp_arith", fun () -> i (Insn.Fp_arith (1, 2)) :: halt);
   ]
   @ List.map
@@ -774,6 +782,58 @@ let workload_fusion_invisible () =
       ("mcf", "baseline", None); ("mcf", "MPX-rw", Some mpx_rw); ("povray", "SFI-rw", Some sfi_rw);
     ]
 
+(* --- whole-run allocation guards -------------------------------------- *)
+
+(* Minor words per additional event ([count] of the counters) between a
+   200- and a 400-iteration fast-path run of [bench] under [cfg]. The
+   difference cancels fixed per-run costs such as block compilation,
+   which would swamp a plain per-run ratio. *)
+let marginal_words ~bench cfg ~setup ~count =
+  let measure iterations =
+    let p =
+      Workloads.Runner.prepare_instrumented ~iterations (Workloads.Spec2006.find bench) cfg
+    in
+    let cpu = p.Framework.cpu in
+    setup cpu;
+    let w0 = Gc.minor_words () in
+    (match Framework.run p with
+    | Cpu.Halted -> ()
+    | Cpu.Out_of_fuel -> Alcotest.fail (bench ^ " out of fuel"));
+    (Gc.minor_words () -. w0, count cpu.Cpu.counters)
+  in
+  let w1, n1 = measure 200 in
+  let w2, n2 = measure 400 in
+  Alcotest.(check bool) (bench ^ ": the longer run has more events") true (n2 > n1);
+  (w2 -. w1) /. float_of_int (n2 - n1)
+
+let check_marginal what words =
+  if words >= 1.0 then Alcotest.failf "%s: %.3f minor words per additional event" what words
+
+(* Crypt call-ret runs an AES round sequence at every crossing: the rounds
+   work in place on the register file. *)
+let crypt_rounds_allocation_free () =
+  let cfg = Framework.config ~switch_policy:Instr.At_call_ret Technique.Crypt in
+  List.iter
+    (fun bench ->
+      check_marginal (bench ^ " crypt call-ret, per aes op")
+        (marginal_words ~bench cfg ~setup:ignore ~count:(fun c -> c.Cpu.aes_ops)))
+    [ "povray"; "hmmer" ]
+
+(* MPK call-ret crosses a wrpkru gate at every call and return; each ends
+   a block chain. Traces off, so the trace tier's own per-entry cost
+   stays out of the measurement. *)
+let mpk_gates_allocation_free () =
+  let cfg =
+    Framework.config ~switch_policy:Instr.At_call_ret (Technique.Mpk Mpk.Pkey.No_access)
+  in
+  List.iter
+    (fun bench ->
+      check_marginal (bench ^ " MPK call-ret, per wrpkru")
+        (marginal_words ~bench cfg
+           ~setup:(fun cpu -> Cpu.set_traces_enabled cpu false)
+           ~count:(fun c -> c.Cpu.wrpkrus)))
+    [ "povray"; "hmmer" ]
+
 (* --- trace tier: loops, side exits, SMC invalidation ------------------- *)
 
 (* A counted loop whose body is one block: forms a single-segment looping
@@ -952,6 +1012,10 @@ let suite =
     Alcotest.test_case "SPEC workloads: fusion on = fusion off = traces off" `Quick
       workload_fusion_invisible;
     QCheck_alcotest.to_alcotest prop_optimizer_invisible_under_techniques;
+    Alcotest.test_case "crypt call-ret: AES rounds allocate nothing" `Quick
+      crypt_rounds_allocation_free;
+    Alcotest.test_case "MPK call-ret: gate crossings allocate nothing" `Quick
+      mpk_gates_allocation_free;
     Alcotest.test_case "superblock side exit: biased jcc loop" `Quick trace_side_exit_jcc;
     Alcotest.test_case "superblock side exit: ret mispredict" `Quick trace_side_exit_indirect;
     Alcotest.test_case "SMC flush tears down active superblock" `Quick
