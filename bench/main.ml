@@ -10,7 +10,7 @@
 let usage () =
   print_endline
     "usage: main.exe \
-     [table1|table2|table3|table4|fig3|fig4|fig5|fig6|extras|ablations|domains|servers|codesize|verify|gateopt|attacks|edgeprof|all]\n\
+     [table1|table2|table3|table4|fig3|fig4|fig5|fig6|extras|ablations|domains|servers|codesize|verify|gateopt|attacks|all]\n\
      \  --iterations N   workload loop iterations (default 40)\n\
      \  --jobs N         run independent simulations on N domains (default 1)\n\
      \  --vcpus N        servers only: also sweep multi-vCPU machines up to N cores\n\
@@ -35,7 +35,6 @@ let rec run_target = function
   | "codesize" -> Codesize.run ()
   | "verify" -> Verify_stats.run ()
   | "gateopt" -> Gateopt.run ()
-  | "edgeprof" -> Edgeprof.run ()
   | "all" ->
     List.iter run_target_unit
       [

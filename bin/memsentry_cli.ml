@@ -125,11 +125,6 @@ let report_cmd =
     print_string (Report.hot_blocks_table ~top fp);
     Printf.printf "\nhot edges (top %d):\n" top;
     print_string (Report.hot_edges_table ~top fp);
-    Printf.printf "\n%s\n" (Report.trace_summary fp);
-    if fp.Fastprof.p_traces <> [] then begin
-      Printf.printf "top traces (top %d, by cycles):\n" top;
-      print_string (Report.trace_table ~top fp)
-    end;
     (match json_out with
     | None -> ()
     | Some "-" -> print_endline (Ms_util.Json.to_string ~pretty:true (Fastprof.to_json fp))
@@ -185,7 +180,6 @@ let report_cmd =
     Printf.printf "machine total: %.0f cycles (summed) over %d instructions\n"
       total.Fastprof.p_cycles total.Fastprof.p_insns;
     print_string (Report.cpi_table total);
-    Printf.printf "\n%s\n" (Report.trace_summary total);
     match json_out with
     | None -> ()
     | Some "-" -> print_endline (Ms_util.Json.to_string ~pretty:true (Fastprof.to_json total))

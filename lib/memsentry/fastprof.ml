@@ -15,19 +15,6 @@ type t = {
   p_insns : int;
   p_rows : row list;
   p_blocks : Ublock.stat list;
-  p_traces : Trace.stat list;
-  p_traces_formed : int;
-  p_traces_invalidated : int;
-  p_trace_covered : int;
-  p_trace_fused : int;  (** macro-fused pairs installed at formation *)
-  p_trace_slots : int;  (** inline translation slots installed *)
-  p_trace_dead_flags : int;  (** dead flag writes elided *)
-  p_inline_hits : int;  (** runtime inline-slot short-circuits *)
-  p_inline_misses : int;  (** runtime inline-slot misses (eager path) *)
-  p_abort_cold : int;  (** formation walks stopped at a cold branch *)
-  p_abort_indirect : int;  (** stopped at a majority-less indirect *)
-  p_abort_cap : int;  (** stopped at the max_segs/max_insns cap *)
-  p_abort_handler : int;  (** stopped at a halt/handler terminator *)
   p_compiles : int;
   p_invalidations : int;
   p_l1_evictions : int;
@@ -76,7 +63,6 @@ let capture_cpu ?workload ~technique (sm : Sitemap.t) (cpu : Cpu.t) =
       }
   in
   let cache = cpu.Cpu.mmu.Mmu.cache in
-  let tier = cpu.Cpu.traces in
   {
     p_workload = (match workload with Some w -> w | None -> "");
     p_technique = technique;
@@ -84,19 +70,6 @@ let capture_cpu ?workload ~technique (sm : Sitemap.t) (cpu : Cpu.t) =
     p_insns = cpu.Cpu.counters.Cpu.insns;
     p_rows = List.init n_rows row_of;
     p_blocks = Ublock.stats cpu.Cpu.tcache;
-    p_traces = Trace.stats tier;
-    p_traces_formed = tier.Trace.formed_count;
-    p_traces_invalidated = tier.Trace.invalidated_count;
-    p_trace_covered = tier.Trace.covered_insns;
-    p_trace_fused = tier.Trace.fused_uops;
-    p_trace_slots = tier.Trace.cached_slots;
-    p_trace_dead_flags = tier.Trace.dead_flags;
-    p_inline_hits = tier.Trace.inline_hits;
-    p_inline_misses = tier.Trace.inline_misses;
-    p_abort_cold = tier.Trace.abort_cold_branch;
-    p_abort_indirect = tier.Trace.abort_indirect_minority;
-    p_abort_cap = tier.Trace.abort_cap_hit;
-    p_abort_handler = tier.Trace.abort_handler_term;
     p_compiles = Ublock.compiles cpu.Cpu.tcache;
     p_invalidations = Ublock.invalidations cpu.Cpu.tcache;
     p_l1_evictions = Cache.l1_evictions cache;
@@ -172,27 +145,6 @@ let merge = function
           t.p_blocks)
       all;
     let blocks = List.rev_map (Hashtbl.find btbl) !border in
-    let ttbl = Hashtbl.create 16 in
-    let torder = ref [] in
-    List.iter
-      (fun t ->
-        List.iter
-          (fun (s : Trace.stat) ->
-            match Hashtbl.find_opt ttbl s.Trace.t_entry with
-            | Some (acc : Trace.stat) ->
-              Hashtbl.replace ttbl s.Trace.t_entry
-                {
-                  acc with
-                  Trace.t_execs = acc.Trace.t_execs + s.Trace.t_execs;
-                  t_side_exits = acc.Trace.t_side_exits + s.Trace.t_side_exits;
-                  t_cycles = acc.Trace.t_cycles +. s.Trace.t_cycles;
-                }
-            | None ->
-              Hashtbl.add ttbl s.Trace.t_entry s;
-              torder := s.Trace.t_entry :: !torder)
-          t.p_traces)
-      all;
-    let traces = List.rev_map (Hashtbl.find ttbl) !torder in
     let sum f = List.fold_left (fun a t -> a + f t) 0 all in
     {
       p_workload = first.p_workload;
@@ -201,19 +153,6 @@ let merge = function
       p_insns = sum (fun t -> t.p_insns);
       p_rows = rows;
       p_blocks = blocks;
-      p_traces = traces;
-      p_traces_formed = sum (fun t -> t.p_traces_formed);
-      p_traces_invalidated = sum (fun t -> t.p_traces_invalidated);
-      p_trace_covered = sum (fun t -> t.p_trace_covered);
-      p_trace_fused = sum (fun t -> t.p_trace_fused);
-      p_trace_slots = sum (fun t -> t.p_trace_slots);
-      p_trace_dead_flags = sum (fun t -> t.p_trace_dead_flags);
-      p_inline_hits = sum (fun t -> t.p_inline_hits);
-      p_inline_misses = sum (fun t -> t.p_inline_misses);
-      p_abort_cold = sum (fun t -> t.p_abort_cold);
-      p_abort_indirect = sum (fun t -> t.p_abort_indirect);
-      p_abort_cap = sum (fun t -> t.p_abort_cap);
-      p_abort_handler = sum (fun t -> t.p_abort_handler);
       p_compiles = sum (fun t -> t.p_compiles);
       p_invalidations = sum (fun t -> t.p_invalidations);
       p_l1_evictions = sum (fun t -> t.p_l1_evictions);
@@ -251,18 +190,6 @@ let block_to_json (s : Ublock.stat) =
       ("dyn_total", Json.Int s.Ublock.s_dyn_total);
     ]
 
-let trace_to_json (s : Trace.stat) =
-  Json.Obj
-    [
-      ("entry", Json.Int s.Trace.t_entry);
-      ("blocks", Json.List (List.map (fun b -> Json.Int b) s.Trace.t_blocks));
-      ("insns", Json.Int s.Trace.t_insns);
-      ("execs", Json.Int s.Trace.t_execs);
-      ("side_exits", Json.Int s.Trace.t_side_exits);
-      ("cycles", Json.Float s.Trace.t_cycles);
-      ("loops", Json.Bool s.Trace.t_loops);
-    ]
-
 let to_json t =
   Json.Obj
     [
@@ -279,27 +206,6 @@ let to_json t =
             ("rows", Json.List (List.map row_to_json t.p_rows));
           ] );
       ("blocks", Json.List (List.map block_to_json t.p_blocks));
-      ( "traces",
-        Json.Obj
-          [
-            ("formed", Json.Int t.p_traces_formed);
-            ("invalidated", Json.Int t.p_traces_invalidated);
-            ("covered_insns", Json.Int t.p_trace_covered);
-            ("fused_uops", Json.Int t.p_trace_fused);
-            ("cached_slots", Json.Int t.p_trace_slots);
-            ("dead_flags", Json.Int t.p_trace_dead_flags);
-            ("inline_hits", Json.Int t.p_inline_hits);
-            ("inline_misses", Json.Int t.p_inline_misses);
-            ( "aborts",
-              Json.Obj
-                [
-                  ("cold_branch", Json.Int t.p_abort_cold);
-                  ("indirect_minority", Json.Int t.p_abort_indirect);
-                  ("cap_hit", Json.Int t.p_abort_cap);
-                  ("handler_term", Json.Int t.p_abort_handler);
-                ] );
-            ("list", Json.List (List.map trace_to_json t.p_traces));
-          ] );
       ( "tcache",
         Json.Obj
           [ ("compiles", Json.Int t.p_compiles); ("invalidations", Json.Int t.p_invalidations) ]
@@ -363,27 +269,12 @@ let block_of_json j =
     s_dyn_total = get_int "dyn_total" j;
   }
 
-let trace_of_json j =
-  {
-    Trace.t_entry = get_int "entry" j;
-    t_blocks =
-      List.map
-        (function Json.Int b -> b | _ -> fail "trace blocks entry is not an int")
-        (get_list "blocks" j);
-    t_insns = get_int "insns" j;
-    t_execs = get_int "execs" j;
-    t_side_exits = get_int "side_exits" j;
-    t_cycles = get_float "cycles" j;
-    t_loops = (match get "loops" j with Json.Bool b -> b | _ -> fail "trace loops not a bool");
-  }
-
 let of_json j =
   let cpi = get "cpi" j in
   let tc = get "tcache" j in
   let mem = get "memory" j in
-  (* Lenient on the trace section: profiles captured before the trace
-     tier existed simply have no superblocks. *)
-  let tr name f d = match Json.member "traces" j with None -> d | Some t -> f name t in
+  (* Profiles written while the engine still had a trace tier carry a
+     "traces" section; it is ignored like any other unread member. *)
   {
     p_workload = get_string "workload" j;
     p_technique = get_string "technique" j;
@@ -391,37 +282,6 @@ let of_json j =
     p_insns = get_int "insns" j;
     p_rows = List.map row_of_json (get_list "rows" cpi);
     p_blocks = List.map block_of_json (get_list "blocks" j);
-    p_traces = List.map trace_of_json (tr "list" get_list []);
-    p_traces_formed = tr "formed" get_int 0;
-    p_traces_invalidated = tr "invalidated" get_int 0;
-    p_trace_covered = tr "covered_insns" get_int 0;
-    (* Lenient again inside the trace section: pre-optimizer profiles
-       predate these counters. *)
-    p_trace_fused = tr "fused_uops" get_int 0;
-    p_trace_slots = tr "cached_slots" get_int 0;
-    p_trace_dead_flags = tr "dead_flags" get_int 0;
-    p_inline_hits = tr "inline_hits" get_int 0;
-    p_inline_misses = tr "inline_misses" get_int 0;
-    p_abort_cold =
-      (match Json.member "traces" j with
-      | None -> 0
-      | Some t -> (
-        match Json.member "aborts" t with None -> 0 | Some a -> get_int "cold_branch" a));
-    p_abort_indirect =
-      (match Json.member "traces" j with
-      | None -> 0
-      | Some t -> (
-        match Json.member "aborts" t with None -> 0 | Some a -> get_int "indirect_minority" a));
-    p_abort_cap =
-      (match Json.member "traces" j with
-      | None -> 0
-      | Some t -> (
-        match Json.member "aborts" t with None -> 0 | Some a -> get_int "cap_hit" a));
-    p_abort_handler =
-      (match Json.member "traces" j with
-      | None -> 0
-      | Some t -> (
-        match Json.member "aborts" t with None -> 0 | Some a -> get_int "handler_term" a));
     p_compiles = get_int "compiles" tc;
     p_invalidations = get_int "invalidations" tc;
     p_l1_evictions = get_int "l1_evictions" mem;

@@ -30,21 +30,6 @@ type t = {
   p_insns : int;
   p_rows : row list;  (** app row first, then site-id order *)
   p_blocks : Ublock.stat list;  (** executed blocks, entry order *)
-  p_traces : Trace.stat list;  (** live superblocks, formation order *)
-  p_traces_formed : int;  (** cumulative, includes invalidated traces *)
-  p_traces_invalidated : int;
-  p_trace_covered : int;  (** retired instructions executed inside superblocks *)
-  p_trace_fused : int;  (** macro-fused uop pairs installed at formation *)
-  p_trace_slots : int;  (** inline translation slots installed *)
-  p_trace_dead_flags : int;  (** dead flag writes elided at formation *)
-  p_inline_hits : int;  (** runtime inline-slot short-circuits taken *)
-  p_inline_misses : int;  (** runtime inline-slot misses (eager path) *)
-  (* Chain-end reason counters: why trace-formation walks stopped — the
-     coverage-diagnosis signal (cumulative over every formation attempt). *)
-  p_abort_cold : int;  (** stopped at a cold/unbiased conditional branch *)
-  p_abort_indirect : int;  (** stopped at a majority-less indirect exit *)
-  p_abort_cap : int;  (** stopped at the max_segs/max_insns cap *)
-  p_abort_handler : int;  (** stopped at a halt/handler/fall-off terminator *)
   p_compiles : int;
   p_invalidations : int;
   p_l1_evictions : int;
@@ -76,8 +61,7 @@ val capture_smp : ?workload:string -> Framework.smp -> t list
 val merge : t list -> t
 (** Machine-wide rollup of per-core profiles: cycles/instruction counters
     sum, CPI rows merge by (label, rip) with element-wise class addition,
-    block stats merge by entry, trace stats merge by entry (execs,
-    side exits and cycles sum). Shared-tier L3 evictions are taken once
+    block stats merge by entry. Shared-tier L3 evictions are taken once
     (from the first profile), not summed. Workload/technique labels come
     from the first profile. Raises [Invalid_argument] on []. *)
 
@@ -87,21 +71,16 @@ val total_cycles : t -> float
 
 val row_cycles : row -> float
 
-val trace_to_json : Trace.stat -> Ms_util.Json.t
-(** One formed superblock as a JSON object (the element type of the
-    profile's ["traces"."list"]); exposed for artifacts that embed the
-    formed-trace list without a full profile (bench edgeprof). *)
-
 val to_json : t -> Ms_util.Json.t
-(** Self-contained profile artifact: CPI rows, block/edge profile (the
-    superblock tier's input), formed-superblock list with coverage
-    counters, translation-cache and memory-system counters. Round-trips
-    through {!of_json}. *)
+(** Self-contained profile artifact: CPI rows, the block/edge profile,
+    and translation-cache and memory-system counters. Round-trips through
+    {!of_json}. *)
 
 val of_json : Ms_util.Json.t -> t
 (** Raises [Invalid_argument] on a value not produced by {!to_json}.
-    Lenient about the ["traces"] section (absent in profiles captured
-    before the trace tier existed: zero counts, empty list). *)
+    Members it does not read are ignored, so profiles written while the
+    engine had a trace tier, which carry a ["traces"] section, still
+    load. *)
 
 type regression = {
   rg_label : string;

@@ -251,69 +251,6 @@ let hot_edges_table ?(top = 10) (prof : Fastprof.t) =
     edges;
   Table_fmt.render t
 
-let trace_summary (prof : Fastprof.t) =
-  let live = List.length prof.Fastprof.p_traces in
-  let pct =
-    if prof.Fastprof.p_insns = 0 then 0.0
-    else 100.0 *. float_of_int prof.Fastprof.p_trace_covered /. float_of_int prof.Fastprof.p_insns
-  in
-  let optimized =
-    if
-      prof.Fastprof.p_trace_fused = 0 && prof.Fastprof.p_trace_slots = 0
-      && prof.Fastprof.p_trace_dead_flags = 0
-    then ""
-    else
-      Printf.sprintf "; optimizer: %d fused, %d slots (%d/%d hit), %d dead flags"
-        prof.Fastprof.p_trace_fused prof.Fastprof.p_trace_slots prof.Fastprof.p_inline_hits
-        (prof.Fastprof.p_inline_hits + prof.Fastprof.p_inline_misses)
-        prof.Fastprof.p_trace_dead_flags
-  in
-  let aborts =
-    let total =
-      prof.Fastprof.p_abort_cold + prof.Fastprof.p_abort_indirect + prof.Fastprof.p_abort_cap
-      + prof.Fastprof.p_abort_handler
-    in
-    if total = 0 then ""
-    else
-      Printf.sprintf "; chain ends: %d cold-branch, %d indirect-minority, %d cap, %d handler"
-        prof.Fastprof.p_abort_cold prof.Fastprof.p_abort_indirect prof.Fastprof.p_abort_cap
-        prof.Fastprof.p_abort_handler
-  in
-  Printf.sprintf
-    "superblocks: %d formed (%d live, %d invalidated); %d of %d retired insns inside traces \
-     (%.1f%% coverage)%s%s"
-    prof.Fastprof.p_traces_formed live prof.Fastprof.p_traces_invalidated
-    prof.Fastprof.p_trace_covered prof.Fastprof.p_insns pct optimized aborts
-
-let trace_table ?(top = 10) (prof : Fastprof.t) =
-  let open X86sim in
-  let traces =
-    List.sort
-      (fun (a : Trace.stat) b -> compare b.Trace.t_cycles a.Trace.t_cycles)
-      prof.Fastprof.p_traces
-  in
-  let t =
-    Table_fmt.create
-      ~align:[ Table_fmt.Right; Table_fmt.Left; Table_fmt.Right; Table_fmt.Right;
-               Table_fmt.Right; Table_fmt.Right; Table_fmt.Left ]
-      [ "Entry"; "Blocks"; "Insns"; "Execs"; "Side exits"; "Cycles"; "Loop" ]
-  in
-  List.iteri
-    (fun i (s : Trace.stat) ->
-      if i < top then
-        Table_fmt.add_row t
-          [
-            string_of_int s.Trace.t_entry;
-            String.concat "," (List.map string_of_int s.Trace.t_blocks);
-            string_of_int s.Trace.t_insns;
-            string_of_int s.Trace.t_execs;
-            string_of_int s.Trace.t_side_exits;
-            Printf.sprintf "%.0f" s.Trace.t_cycles;
-            (if s.Trace.t_loops then "yes" else "-");
-          ])
-    traces;
-  Table_fmt.render t
-
 let print_all () =
   print_string (table1 ());
   print_newline ();

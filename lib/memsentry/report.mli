@@ -58,14 +58,4 @@ val hot_edges_table : ?top:int -> Fastprof.t -> string
 (** The [top] (default 10) hottest CFG edges derived from the block
     profile (taken, fall-through and majority indirect edges). *)
 
-val trace_summary : Fastprof.t -> string
-(** One-line superblock-tier rollup: traces formed/live/invalidated,
-    retired-instruction coverage (share of [p_insns] executed inside
-    superblocks), and hoisted-check count when nonzero. *)
-
-val trace_table : ?top:int -> Fastprof.t -> string
-(** The [top] (default 10) live superblocks by attributed cycles: entry,
-    fused block chain, static instructions, entries, side exits, cycles,
-    hoisted prologue length, and whether the trace loops. *)
-
 val print_all : unit -> unit

@@ -60,19 +60,9 @@ type t = {
       (* predecoded basic-block translations of [program]; swapped when
          the program changes identity, generation-bumped by
          [flush_translations] *)
-  mutable traces : Trace.tier;
-      (* profile-guided superblocks over [tcache]; swapped with it on
-         program-identity change, torn down eagerly by
-         [flush_translations] *)
-  mutable sl_vpn : int array;
-      (* the executing trace's inline translation slots
-         ([Trace.tr_slot_vpn]/[_info]/[_tok]), aliased here by
-         [exec_trace] on entry so the cached-uop arms of [exec_uop] reach
-         them without threading the trace through every call. [||] when no
-         trace is executing — safe, because the [U*_c] shapes only occur
-         inside optimized trace bodies. *)
-  mutable sl_info : int array;
-  mutable sl_tok : int array;
+  traces : Trace.tier;
+      (* always [Trace.empty]: the deleted trace tier's counters, kept for
+         bench/perf until its next change *)
   mutable syscall_handler : t -> unit;
   mutable vmcall_handler : t -> unit;
   mutable ept_violation_handler : t -> gpa:int -> access:Fault.access -> bool;
@@ -241,10 +231,7 @@ let create_on ?(stack_pages = 64) mmu =
       site_of = [||];
       program;
       tcache = Ublock.create program;
-      traces = Trace.create ~code_len:(Program.length program);
-      sl_vpn = [||];
-      sl_info = [||];
-      sl_tok = [||];
+      traces = Trace.empty;
       syscall_handler = default_syscall_handler;
       vmcall_handler = (fun _ -> Fault.raise_fault (Fault.Undefined "vmcall: no hypervisor"));
       ept_violation_handler = (fun _ ~gpa:_ ~access:_ -> false);
@@ -359,12 +346,9 @@ let[@inline] emit_mem t va =
   note_mem_class t;
   if t.n_event_hooks > 0 then emit_mem_events t va
 
-(* Re-key both translation tiers when [t.program] changed identity. *)
+(* Re-key the translation cache when [t.program] changed identity. *)
 let[@inline] sync_translations t =
-  if not (Ublock.owns t.tcache t.program) then begin
-    t.tcache <- Ublock.create t.program;
-    t.traces <- Trace.recreate t.traces ~code_len:(Program.length t.program)
-  end
+  if not (Ublock.owns t.tcache t.program) then t.tcache <- Ublock.create t.program
 
 let load_program t prog =
   t.program <- prog;
@@ -372,21 +356,9 @@ let load_program t prog =
   t.halted <- false;
   t.rip <- (if Program.has_label prog "main" then Program.label_index prog "main" else 0)
 
-(* Eager invalidation. The generation bump alone keeps stale *blocks*
-   from being entered (every entry re-checks [bgen]), but superblocks
-   bake direct block references and side-exit stubs in, so the trace tier
-   is torn down outright — a stale side-exit can never execute — and the
-   block tier's cached successor links are severed rather than left
-   dangling into the flushed generation. *)
-let flush_translations t =
-  Ublock.invalidate t.tcache;
-  Ublock.drop_links t.tcache;
-  Trace.invalidate_all t.traces
-
-let set_traces_enabled t on = Trace.set_enabled t.traces on
-let traces_enabled t = t.traces.Trace.enabled
-let set_trace_fusion t on = Trace.set_optimize t.traces on
-let trace_fusion t = t.traces.Trace.optimize
+(* The generation bump is the whole invalidation: every block entry and
+   every chain-link follow re-checks [bgen], so no stale block runs. *)
+let flush_translations t = Ublock.invalidate t.tcache
 
 let cycles t = Pipeline.cycles t.pipe
 
@@ -567,100 +539,12 @@ let[@inline] ea_gen t base index scale disp =
   + (if index >= 0 then t.gpr.(index) * scale else 0)
   + disp
 
-(* Inline-translation slot access for the trace tier's optimized memory
-   uops: probe the per-site slot first — a matching vpn under a
-   still-valid {!Mmu.generation_token} proves a real TLB probe would hit
-   with exactly the cached entry, so [Mmu.read64_cached] short-circuits
-   the probe and walk (the hit is still posted to TLB statistics and
-   every architectural check re-runs live). A miss takes the full eager
-   path and then recharges the slot from the entry the walk just
-   installed — unless EPT is on, under which tokens are never valid.
-
-   Adaptive kill: the token covers every TLB mutation, so a workload
-   whose TLB thrashes (pointer chasing past TLB reach) invalidates all
-   tokens on every fill — each probe then misses and the recharge is
-   wasted work on top of the full translation it just paid for.
-   [slot_miss] audits the hit/miss ratio once per 8192 misses and sets
-   [tier.inline_dead] when the hits aren't carrying their weight; from
-   then on the optimized uops branch straight to the eager path. The
-   switch is per-tier (= per program), so a thrashing profile cannot
-   disable the slots of a well-behaved one, and it is observationally
-   free either way (the miss path {e is} the eager path). *)
-let slot_miss (tier : Trace.tier) =
-  tier.Trace.inline_misses <- tier.Trace.inline_misses + 1;
-  if
-    tier.Trace.inline_misses land 8191 = 0
-    && tier.Trace.inline_hits < 4 * tier.Trace.inline_misses
-  then tier.Trace.inline_dead <- true
-
-let[@inline] cached_load t ~va ~d ~slot ~meta =
-  let mmu = t.mmu in
-  let tier = t.traces in
-  let v =
-    if tier.Trace.inline_dead then Mmu.read64_fast mmu ~va
-    else begin
-      let vpn = va lsr Mmu.page_bits in
-      if
-        Array.unsafe_get t.sl_vpn slot = vpn
-        && Mmu.token_valid mmu ~token:(Array.unsafe_get t.sl_tok slot)
-      then begin
-        tier.Trace.inline_hits <- tier.Trace.inline_hits + 1;
-        Mmu.read64_cached mmu ~va ~info:(Array.unsafe_get t.sl_info slot)
-      end
-      else begin
-        slot_miss tier;
-        let v = Mmu.read64_fast mmu ~va in
-        if not mmu.Mmu.ept_on then begin
-          Array.unsafe_set t.sl_vpn slot vpn;
-          Array.unsafe_set t.sl_info slot (Mmu.slot_info_for mmu ~vpn);
-          Array.unsafe_set t.sl_tok slot (Mmu.generation_token mmu)
-        end;
-        v
-      end
-    end
-  in
-  emit_mem t va;
-  t.gpr.(d) <- v;
-  t.counters.loads <- t.counters.loads + 1;
-  set_load_dep t va;
-  Pipeline.issue_packed t.pipe ~meta ~lat:mmu.Mmu.last_lat
-
-let[@inline] cached_store t ~va ~v ~slot ~meta =
-  let mmu = t.mmu in
-  let tier = t.traces in
-  (if tier.Trace.inline_dead then Mmu.write64_fast mmu ~va v
-   else begin
-     let vpn = va lsr Mmu.page_bits in
-     if
-       Array.unsafe_get t.sl_vpn slot = vpn
-       && Mmu.token_valid mmu ~token:(Array.unsafe_get t.sl_tok slot)
-     then begin
-       tier.Trace.inline_hits <- tier.Trace.inline_hits + 1;
-       Mmu.write64_cached mmu ~va ~info:(Array.unsafe_get t.sl_info slot) v
-     end
-     else begin
-       slot_miss tier;
-       Mmu.write64_fast mmu ~va v;
-       if not mmu.Mmu.ept_on then begin
-         Array.unsafe_set t.sl_vpn slot vpn;
-         Array.unsafe_set t.sl_info slot (Mmu.slot_info_for mmu ~vpn);
-         Array.unsafe_set t.sl_tok slot (Mmu.generation_token mmu)
-       end
-     end
-   end);
-  emit_mem t va;
-  t.counters.stores <- t.counters.stores + 1;
-  Pipeline.issue_packed_static t.pipe ~meta;
-  note_store t va
-
 (* Execute one predecoded micro-op: the single definition of every
    non-terminator instruction's semantics, shared by the hooked [step]
-   path and both translated tiers. Operands and issue metadata are frozen
-   in the uop; [rip] belongs to the caller, which arms it to the
-   instruction beforehand, so a fault unwinds with [rip] naming the
-   faulting instruction and memory events carry it. (The trace tier's
-   lazy-rip fast path leaves [rip] stale; it runs only with no hooks
-   attached, so no event can observe that.) Every MMU access is followed
+   path and the block tier. Operands and issue metadata are frozen in the
+   uop; [rip] belongs to the caller, which arms it to the instruction
+   beforehand, so a fault unwinds with [rip] naming the faulting
+   instruction and memory events carry it. Every MMU access is followed
    by its own [emit_mem]: the CPI-class hint for that access, plus its
    events when hooks are attached. Within each arm, faults come before
    any counter bump or issue except where the hardware checks after
@@ -842,70 +726,17 @@ let exec_uop t (u : Ublock.uop) =
   | Ublock.Uvins_high { d; s; meta } ->
     Bytes.blit t.xmm (32 * s) t.xmm ((32 * d) + 16) 16;
     Pipeline.issue_packed_static t.pipe ~meta
-  (* --- Trace-lane optimized shapes (Traceopt). Each arm is the eager
-     arm above with either the flag write dropped (_nf), an inline
-     translation slot consulted before the full Mmu path (_c), or two
-     eager arms glued into one dispatch (the fused shapes). Observable order —
-     fault points, counter bumps, pipeline issues — matches the eager
-     sequence exactly. *)
-  | Ublock.Ualu_rr_nf { op; d; s; meta } ->
-    t.gpr.(d) <- alu_apply op t.gpr.(d) t.gpr.(s);
-    Pipeline.issue_packed_static t.pipe ~meta
-  | Ublock.Ualu_ri_nf { op; d; imm; meta } ->
-    t.gpr.(d) <- alu_apply op t.gpr.(d) imm;
-    Pipeline.issue_packed_static t.pipe ~meta
-  | Ublock.Uload_bd_c { d; base; disp; slot; meta } ->
-    let va = t.gpr.(base) + disp in
-    cached_load t ~va ~d ~slot ~meta
-  | Ublock.Uload_gen_c { d; base; index; scale; disp; slot; meta } ->
-    let va = ea_gen t base index scale disp in
-    cached_load t ~va ~d ~slot ~meta
-  | Ublock.Ustore_bd_c { s; base; disp; slot; meta } ->
-    let va = t.gpr.(base) + disp in
-    cached_store t ~va ~v:t.gpr.(s) ~slot ~meta
-  | Ublock.Ustore_gen_c { s; base; index; scale; disp; slot; meta } ->
-    let va = ea_gen t base index scale disp in
-    cached_store t ~va ~v:t.gpr.(s) ~slot ~meta
-  | Ublock.Ustorei_bd_c { imm; base; disp; slot; meta } ->
-    let va = t.gpr.(base) + disp in
-    cached_store t ~va ~v:imm ~slot ~meta
-  | Ublock.Ustorei_gen_c { imm; base; index; scale; disp; slot; meta } ->
-    let va = ea_gen t base index scale disp in
-    cached_store t ~va ~v:imm ~slot ~meta
-  | Ublock.Ufuse_mask_load { op; d; imm; nf; m1; ld; disp; slot; m2 } ->
-    let r = alu_apply op t.gpr.(d) imm in
-    t.gpr.(d) <- r;
-    if not nf then t.cmp <- r;
-    Pipeline.issue_packed_static t.pipe ~meta:m1;
-    cached_load t ~va:(r + disp) ~d:ld ~slot ~meta:m2
-  | Ublock.Ufuse_mask_store { op; d; imm; nf; m1; s; disp; slot; m2 } ->
-    let r = alu_apply op t.gpr.(d) imm in
-    t.gpr.(d) <- r;
-    if not nf then t.cmp <- r;
-    Pipeline.issue_packed_static t.pipe ~meta:m1;
-    cached_store t ~va:(r + disp) ~v:t.gpr.(s) ~slot ~meta:m2
-  | Ublock.Ufuse_mask_storei { op; d; imm; nf; m1; simm; disp; slot; m2 } ->
-    let r = alu_apply op t.gpr.(d) imm in
-    t.gpr.(d) <- r;
-    if not nf then t.cmp <- r;
-    Pipeline.issue_packed_static t.pipe ~meta:m1;
-    cached_store t ~va:(r + disp) ~v:simm ~slot ~meta:m2
-  | Ublock.Ufuse_lea_bndc { d; base; index; scale; disp; w32; m1; upper; b; m2 } ->
-    let ea = ea_gen t base index scale disp in
-    let ea = if w32 then ea land 0xFFFFFFFF else ea in
-    t.gpr.(d) <- ea;
-    c.bnd_checks <- c.bnd_checks + 1;
-    Pipeline.issue_packed_pair_static t.pipe ~m1 ~m2;
-    if t.bnd_enabled && (if upper then ea > t.bnd_upper.(b) else ea < t.bnd_lower.(b)) then
-      Fault.raise_fault
-        (Fault.Bound_violation
-           { value = ea; lower = t.bnd_lower.(b); upper = t.bnd_upper.(b); reg = b })
+  | Ublock.Ualu_rr_nf _ | Ublock.Ualu_ri_nf _ | Ublock.Uload_bd_c _ | Ublock.Uload_gen_c _
+  | Ublock.Ustore_bd_c _ | Ublock.Ustore_gen_c _ | Ublock.Ustorei_bd_c _
+  | Ublock.Ustorei_gen_c _ | Ublock.Ufuse_mask_load _ | Ublock.Ufuse_mask_store _
+  | Ublock.Ufuse_mask_storei _ | Ublock.Ufuse_lea_bndc _ ->
+    invalid_arg "Cpu.exec_uop: retired trace-lane uop"
 
 (* The semantic half of a branch terminator at [t.rip]: counters, stack
    traffic, the issue, and the next rip, left in [t.rip] once nothing can
    fault any more. Returns whether the branch was taken — always, except
-   a jcc that falls through. Each loop keeps its own half: profile bumps
-   and successor following. *)
+   a jcc that falls through. The block tier adds its own half: the edge
+   profile bumps and successor following. *)
 let exec_branch t (term : Ublock.terminator) =
   let c = t.counters in
   match term with
@@ -1060,12 +891,6 @@ let exec_block_chain t cache b0 budget =
     let n = Array.length uops in
     let entry = blk.Ublock.entry in
     blk.Ublock.exec_count <- Ublock.bump blk.Ublock.exec_count;
-    (* Trace-tier formation trigger: one attempt, the moment the counter
-       crosses the threshold (equality, so the hot path pays a single
-       compare; a disabled tier parks the threshold at [max_int], and
-       [try_form] re-checks [enabled] besides). *)
-    if blk.Ublock.exec_count = t.traces.Trace.hot_threshold then
-      Trace.try_form t.traces cache blk;
     let i = ref 0 in
     (* Two copies of the uop loop so the un-instrumented run (no site map
        installed — the common case) pays nothing per uop for row
@@ -1134,234 +959,8 @@ let exec_block_chain t cache b0 budget =
           follow_dynamic cache t.rip
       end
     in
-    (* If a superblock is registered at the next block's entry, stop
-       chaining so the dispatch loop tiers up ([t.rip] already names that
-       entry). Cost on the no-trace path: one array load per followed
-       edge. *)
-    if next == Ublock.dummy_block || Trace.at t.traces next.Ublock.entry != Trace.dummy_trace
-    then chaining := false
-    else bcell := next
+    if next == Ublock.dummy_block then chaining := false else bcell := next
   done
-
-(* ------------------------------------------------------------------ *)
-(* Trace-tier execution (superblocks)                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Execute superblock [tr] from its entry until a side exit, its final
-   predicted exit, fuel exhaustion, or a fault. Observationally identical
-   to running the same blocks through [exec_block_chain] — same counter
-   and fuel discipline, same pipeline issues, same profile updates, same
-   per-uop [rip] re-arming — but the bookkeeping the block tier pays per
-   instruction (insns increment, budget decrement, budget loop test) is
-   batched per segment, and fused boundaries cost one segment advance
-   instead of a chain-link follow + generation check + registry probe.
-   The [Pipeline] scoreboard is continuous across the fused boundaries by
-   construction (the block tier never reset it at terminators either), so
-   register-ready state propagates through the whole superblock.
-
-   Batching vs fault precision: the careful path arms [rip] before every
-   uop (and uops never write it), so when a fault unwinds mid-segment the
-   number of uops that completed before the faulting one is recoverable
-   from [rip] alone. The fast path drops even that — rip is materialized
-   lazily, from the pipeline's issue count, only when a fault actually
-   unwinds (see the handler below). Either way the handler settles
-   [insns]/[budget] to exactly what the block tier would have accumulated
-   (faulting instruction counted, not yet decremented — [run_fast]'s
-   delivery path decrements it) and re-raises; EPT-retry's
-   [retry_marker = counters.insns] comparison therefore observes
-   identical values in either tier.
-
-   Prediction guards (the jcc direction re-check and the indirect-target
-   compare) and trace formation itself cost zero simulated cycles: the
-   tier models a dispatch optimization of the simulator, not a new
-   microarchitectural feature — see DESIGN.md "Trace tier". *)
-let exec_trace t (tr : Trace.trace) budget =
-  let tier = t.traces in
-  let c = t.counters in
-  let map = t.site_of in
-  let mapped = Array.length map >= tier.Trace.code_len in
-  (* Alias this trace's inline-translation slots into the CPU so the
-     optimized memory uops index them directly (one array load instead of
-     a trace lookup per access). *)
-  t.sl_vpn <- tr.Trace.tr_slot_vpn;
-  t.sl_info <- tr.Trace.tr_slot_info;
-  t.sl_tok <- tr.Trace.tr_slot_tok;
-  tr.Trace.tr_execs <- Ublock.bump tr.Trace.tr_execs;
-  let cyc0 = Pipeline.cycles t.pipe in
-  try
-    let segs = tr.Trace.tr_segs in
-    let last = Array.length segs - 1 in
-    let k = ref 0 in
-    let running = ref true in
-    (* Cross-boundary dead-flag elision: when the previous segment's fast
-       path elided its last flag write ([os_pend]), the destination
-       register that would have fed [cmp] is parked here. The successor's
-       first uop overwrites the flags (that is the elision's legality), so
-       the note normally just clears; only when fuel runs out with zero
-       successor uops executed must [cmp] be re-materialized from the
-       register file before stopping. *)
-    let pending = ref (-1) in
-    (* Exit stage: the block's own terminator ([exec_branch], as in the
-       block tier), then the baked prediction in place of the successor
-       lookup — next segment, loop restart, or, past the final segment,
-       fall back to dispatch with [rip] already at the continuation. A
-       failed prediction guard is a side exit: [rip] is architecturally
-       correct either way, so the fall-back costs nothing but the tier
-       switch. *)
-    let exec_exit sg (blk : Ublock.block) =
-      let ti = blk.Ublock.term_idx in
-      t.rip <- ti;
-      if mapped && ti < Array.length map then
-        Pipeline.set_row t.pipe (Array.unsafe_get map ti);
-      c.insns <- c.insns + 1;
-      tier.Trace.covered_insns <- tier.Trace.covered_insns + 1;
-      let taken = exec_branch t blk.Ublock.term in
-      decr budget;
-      let predicted =
-        match sg.Trace.sg_exit with
-        | Trace.X_always ->
-          blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count;
-          true
-        | Trace.X_jcc { predict_taken } ->
-          if taken then blk.Ublock.taken_count <- Ublock.bump blk.Ublock.taken_count
-          else blk.Ublock.fall_count <- Ublock.bump blk.Ublock.fall_count;
-          taken = predict_taken
-        | Trace.X_indirect { predicted } ->
-          Ublock.note_dyn blk t.rip;
-          t.rip = predicted
-      in
-      if not predicted then begin
-        tr.Trace.tr_side_exits <- Ublock.bump tr.Trace.tr_side_exits;
-        running := false
-      end
-      else if !k < last then incr k
-      else if tr.Trace.tr_loops then k := 0
-      else running := false
-    in
-    while !running do
-      let sg = Array.unsafe_get segs !k in
-      let blk = sg.Trace.sg_blk in
-      blk.Ublock.exec_count <- Ublock.bump blk.Ublock.exec_count;
-      let b0 = !budget in
-      match sg.Trace.sg_opt with
-      | Some o when (not mapped) && b0 > o.Traceopt.os_m ->
-        (* Fast path: run the [Traceopt]-rewritten body with lazy rip
-           materialization. Fuel strictly exceeds the segment's covered
-           instructions, so neither mid-segment resume nor the
-           budget-exhausted stop can occur — the terminator always runs.
-           No per-uop [rip] re-arm: every optimized uop performs exactly
-           one pipeline issue per covered instruction, in program order,
-           so a fault's architectural rip is reconstructed in the handler
-           from the issue delta against [rec_issue0]. *)
-        pending := -1;
-        tier.Trace.rec_entry <- blk.Ublock.entry;
-        tier.Trace.rec_issue0 <- Pipeline.instructions t.pipe;
-        tier.Trace.rec_lazy <- true;
-        tier.Trace.rec_active <- true;
-        let ou = o.Traceopt.os_uops in
-        for i = 0 to Array.length ou - 1 do
-          exec_uop t (Array.unsafe_get ou i)
-        done;
-        (* A cmp/test fused with the jcc exit runs here — after the body,
-           before the exit stage evaluates the condition: the original
-           program order. *)
-        (match o.Traceopt.os_flags with
-         | None -> ()
-         | Some u -> exec_uop t u);
-        tier.Trace.rec_active <- false;
-        tier.Trace.rec_lazy <- false;
-        let m = o.Traceopt.os_m in
-        c.insns <- c.insns + m;
-        budget := b0 - m;
-        tier.Trace.covered_insns <- tier.Trace.covered_insns + m;
-        exec_exit sg blk;
-        if o.Traceopt.os_pend >= 0 && !running then pending := o.Traceopt.os_pend
-      | _ ->
-        (* Careful path: the block's own body with eager per-uop rip
-           re-arm. Taken whenever fuel could run out inside the segment,
-           when per-site CPI attribution is on (row switching needs the
-           per-uop rip anyway), or when the optimizer is off. *)
-        let uops = blk.Ublock.uops in
-        let n = Array.length uops in
-        let entry = blk.Ublock.entry in
-        let lim = if b0 < n then b0 else n in
-        if !pending >= 0 then begin
-          (* Fuel exhausted exactly at this segment's top: the previous
-             segment elided its final flag write, and the uop that would
-             overwrite it won't run — re-materialize [cmp] now. *)
-          if lim = 0 && n > 0 then t.cmp <- t.gpr.(!pending);
-          pending := -1
-        end;
-        tier.Trace.rec_entry <- entry;
-        tier.Trace.rec_lazy <- false;
-        tier.Trace.rec_active <- true;
-        (* Two copies of the body loop, as in the block tier: the
-           un-mapped common case pays nothing per uop for attribution. *)
-        let i = ref 0 in
-        if mapped then
-          while !i < lim do
-            let rip = entry + !i in
-            t.rip <- rip;
-            Pipeline.set_row t.pipe (Array.unsafe_get map rip);
-            exec_uop t (Array.unsafe_get uops !i);
-            incr i
-          done
-        else
-          while !i < lim do
-            t.rip <- entry + !i;
-            exec_uop t (Array.unsafe_get uops !i);
-            incr i
-          done;
-        tier.Trace.rec_active <- false;
-        c.insns <- c.insns + lim;
-        budget := b0 - lim;
-        tier.Trace.covered_insns <- tier.Trace.covered_insns + lim;
-        if lim < n then begin
-          (* Fuel exhausted mid-segment: resume at the first unexecuted
-             instruction, exactly as the block tier does. *)
-          t.rip <- entry + lim;
-          running := false
-        end
-        else if !budget <= 0 then begin
-          t.rip <- blk.Ublock.term_idx;
-          running := false
-        end
-        else exec_exit sg blk
-    done;
-    tr.Trace.tr_cycles <- tr.Trace.tr_cycles +. (Pipeline.cycles t.pipe -. cyc0)
-  with Fault.Fault _ as e ->
-    if tier.Trace.rec_active then begin
-      (* Settle the batched accounting: [j] instructions of the current
-         segment completed before the faulting one. On the careful path
-         [rip] was armed per uop, so [j] is read off it; on the lazy fast
-         path [rip] was never armed — instead every optimized uop performs
-         exactly one pipeline issue per covered instruction, in program
-         order, with all faults raised before their instruction's issue
-         except the MPX bound check (which issues first, hardware-style,
-         then raises). The issue delta since segment start therefore
-         pinpoints the faulting instruction, and [rip] is materialized
-         from it here, once, on the cold path. *)
-      let j =
-        if tier.Trace.rec_lazy then begin
-          let issued = Pipeline.instructions t.pipe - tier.Trace.rec_issue0 in
-          let j =
-            match e with
-            | Fault.Fault (Fault.Bound_violation _) -> issued - 1
-            | _ -> issued
-          in
-          t.rip <- tier.Trace.rec_entry + j;
-          j
-        end
-        else t.rip - tier.Trace.rec_entry
-      in
-      c.insns <- c.insns + j + 1;
-      budget := !budget - j;
-      tier.Trace.covered_insns <- tier.Trace.covered_insns + j + 1;
-      tier.Trace.rec_active <- false;
-      tier.Trace.rec_lazy <- false
-    end;
-    tr.Trace.tr_cycles <- tr.Trace.tr_cycles +. (Pipeline.cycles t.pipe -. cyc0);
-    raise e
 
 (* Raised (and translated back to [Program.fetch]'s fault) when the fast
    loop's block dispatch lands outside the code array, so that fault keeps
@@ -1405,16 +1004,8 @@ let run_fast t budget =
           sync_translations t;
           let cache = t.tcache in
           let rip = t.rip in
-          if rip >= 0 && rip < Ublock.code_length cache then begin
-            (* Tier dispatch: a live superblock at this entry wins over
-               the block tier. The generation re-check makes stale
-               dispatch impossible even if eager invalidation were ever
-               bypassed. *)
-            let tr = Trace.at t.traces rip in
-            if tr != Trace.dummy_trace && tr.Trace.tr_gen = Ublock.generation cache then
-              exec_trace t tr budget
-            else exec_block_chain t cache (Ublock.get cache rip) budget
-          end
+          if rip >= 0 && rip < Ublock.code_length cache then
+            exec_block_chain t cache (Ublock.get cache rip) budget
           else raise Fetch_out_of_code
         done;
         live := false

@@ -82,21 +82,10 @@ type t = {
           instruction at a time. Swapped automatically when [program]
           changes identity; {!flush_translations} invalidates it after
           in-place mutation of the code array. *)
-  mutable traces : Trace.tier;
-      (** Profile-guided superblocks stitched over [tcache] (see
-          {!Trace}): once a block's exec counter crosses the tier's hot
-          threshold, its dominant successor chain executes as one flat
-          superblock with side exits back to the block tier. Swapped
-          together with [tcache] on program-identity change; torn down
-          eagerly by {!flush_translations}. Exposed for observability
-          ({!Trace.stats}) and for tests tuning the formation policy. *)
-  mutable sl_vpn : int array;
-      (** Inline-translation slot arrays of the trace currently executing
-          — aliases of that trace's [tr_slot_*] arrays, installed by the
-          trace executor on entry so the optimized memory uops index them
-          without an extra indirection. [[||]] outside trace execution. *)
-  mutable sl_info : int array;
-  mutable sl_tok : int array;
+  traces : Trace.tier;
+      (** Always {!Trace.empty}: the deleted trace tier's all-zero
+          counters, which the engine benchmark still reads. Removed in
+          its next change. *)
   mutable syscall_handler : t -> unit;
   mutable vmcall_handler : t -> unit;
   mutable ept_violation_handler : t -> gpa:int -> access:Fault.access -> bool;
@@ -135,32 +124,14 @@ val load_program : t -> Program.t -> unit
 (** Install a program and set [rip] to the ["main"] label (or 0). *)
 
 val flush_translations : t -> unit
-(** Invalidate every cached translation, eagerly: bump the block cache's
-    generation (which also reaches the hooked path's per-instruction
-    translations), sever every cached block→block successor link, and
-    tear down all superblocks. After a flush no
-    stale block, chain link, trace, or side-exit stub can execute — not
-    even transiently. Required only after mutating the installed
-    program's code array in place; installing a different program via
-    {!load_program} or assigning [program] re-keys both tiers
+(** Invalidate every cached translation: bump the block cache's
+    generation, which also reaches the hooked path's per-instruction
+    translations. Every block entry and every chain-link follow checks
+    the generation, so after a flush no stale block runs and no stale
+    link is taken. Required only after mutating the installed program's
+    code array in place; installing a different program via
+    {!load_program} or assigning [program] re-keys the cache
     automatically. *)
-
-val set_traces_enabled : t -> bool -> unit
-(** Enable (default) or disable the trace tier; disabling also
-    invalidates live superblocks so execution falls back to the block
-    tier immediately. See {!Trace.set_enabled}. *)
-
-val traces_enabled : t -> bool
-
-val set_trace_fusion : t -> bool -> unit
-(** Enable (default) or disable the {!Traceopt} formation pass — macro-
-    fusion, inline translation slots, dead-flag elision and the lazy-rip
-    fast path that runs the rewritten bodies. Disabling invalidates live
-    traces (they re-form unoptimized) and pins the executor to the
-    careful per-uop-rip path; results are byte-identical either way. See
-    {!Trace.set_optimize}. *)
-
-val trace_fusion : t -> bool
 
 (** {2 Hooks and events}
 

@@ -274,61 +274,6 @@ let write64 t ~va v =
   write64_fast t ~va v;
   t.last_lat
 
-(* --- Generation token: the one staleness rule for translation-derived
-   caches.
-
-   Historically three consumers each read the generation cells with
-   slightly different rules (the block tier re-probed the TLB per access,
-   trace guards compared the page-table generation alone, and the inline
-   slots need TLB-content stability too). They now share this pair: a
-   token captured right after a successful translation stays valid exactly
-   while (a) the page table has not changed — pt generation — and (b) this
-   core's TLB contents have not changed — the monotone Tlb mutation
-   counter, which any fill, conflict eviction, full flush or shootdown
-   acknowledgment bumps. Both are monotone, so their sum changes whenever
-   either does. Under EPT the token is never valid (EPT generations are
-   deliberately not folded in; vmfunc switching must not revalidate stale
-   views). PKRU is deliberately NOT captured: like hardware, consumers
-   re-check protection keys against the live [pkru] on every access. *)
-let[@inline always] generation_token t = !(t.pt_gen_cell) + Tlb.mutations t.tlb
-let[@inline always] token_valid t ~token = (not t.ept_on) && generation_token t = token
-
-(* Inline-translation fast path for the trace tier's per-uop slots: the
-   caller holds a packed {!Tlb.slot_info} word captured together with a
-   still-valid token for this page, which proves a real probe would hit
-   with exactly this entry — so the probe is short-circuited (the hit is
-   still posted to the TLB statistics) and every architectural check runs
-   against the cached word in {!translate_va}'s exact order. *)
-let[@inline always] translate_cached t ~va ~info ~(access : Fault.access) =
-  Tlb.note_hit t.tlb;
-  t.last_tlb_miss <- false;
-  t.last_lat <- 0;
-  let pkey = (info lsr 2) land 0xF in
-  if (pkey <> 0 || t.pkru land 3 <> 0) && not (pkey_allows t ~key:pkey ~access) then
-    Fault.raise_fault (Fault.Pkey_violation { va; key = pkey; access });
-  if info land 2 = 0 then
-    Fault.raise_fault (Fault.Page_fault { va; access; reason = "PROT_NONE page" });
-  (match access with
-  | Fault.Write when info land 1 = 0 ->
-    Fault.raise_fault (Fault.Page_fault { va; access; reason = "write to read-only page" })
-  | Fault.Write | Fault.Read | Fault.Exec -> ());
-  ((info lsr 6) lsl page_bits) lor (va land (page_size - 1))
-
-let[@inline always] read64_cached t ~va ~info =
-  let pa = translate_cached t ~va ~info ~access:Fault.Read in
-  t.last_lat <- t.last_lat + Cache.access t.cache ~addr:pa;
-  Physmem.read64_trusted t.phys ~frame:(pa lsr page_bits) ~off:(pa land (page_size - 1))
-
-let[@inline always] write64_cached t ~va ~info v =
-  let pa = translate_cached t ~va ~info ~access:Fault.Write in
-  t.last_lat <- t.last_lat + Cache.access t.cache ~addr:pa;
-  Physmem.write64_trusted t.phys ~frame:(pa lsr page_bits) ~off:(pa land (page_size - 1)) v
-
-(* The packed entry the last successful translation left in [vpn]'s
-   (direct-mapped) TLB slot — what an inline slot caches alongside the
-   token it just captured. *)
-let slot_info_for t ~vpn = Tlb.slot_info t.tlb (Tlb.slot_index t.tlb ~vpn)
-
 let check_block16 va =
   if va land 15 <> 0 then
     Fault.raise_fault (Fault.Gp_fault (Printf.sprintf "unaligned 16-byte access at 0x%x" va))

@@ -130,58 +130,6 @@ val acknowledge_shootdown : t -> bool
 val shootdown_count : t -> int
 (** Total shootdown broadcasts on this machine (telemetry). *)
 
-(** {2 Generation token: staleness contract for translation-derived caches}
-
-    Any cache derived from a translation (the trace tier's inline
-    per-uop slots, trace entry guards, block-tier shortcuts) must key its
-    entries on {!generation_token} and treat them as usable only while
-    {!token_valid} holds. The contract:
-
-    - The token captured immediately after a successful translation stays
-      valid exactly while the page table is unchanged (its generation,
-      bumped by every mapping/permission/pkey change — which is also what
-      shootdowns broadcast) {e and} this core's TLB contents are unchanged
-      (the monotone {!Tlb.mutations} counter: any fill, conflict eviction,
-      full flush or shootdown acknowledgment bumps it). While valid, a
-      real TLB probe for the cached page is guaranteed to hit with the
-      identical entry, so timing and statistics are preserved.
-    - Under EPT the token is {e never} valid: a [vmfunc] EPT switch must
-      not revalidate views cached under another EPT, so EPT consumers
-      always take the full translation path.
-    - PKRU is deliberately {e not} part of the token — like hardware,
-      consumers must re-check protection keys against the live [pkru] on
-      every access (that is what keeps [wrpkru] switches cheap).
-
-    Invalidation is therefore purely observational: nothing registers or
-    flushes derived caches; they self-invalidate on the next token
-    comparison, conservatively (a token mismatch never means the cached
-    data is wrong, only that it must be re-proven). *)
-
-val page_bits : int
-(** log2 of the page size; [va lsr page_bits] is the vpn an inline slot
-    is keyed on. *)
-
-val generation_token : t -> int
-val token_valid : t -> token:int -> bool
-
-val translate_cached : t -> va:int -> info:int -> access:Fault.access -> int
-(** Translation from a cached packed {!Tlb.slot_info} word whose token the
-    caller has just validated: posts the TLB hit, re-runs the pkey /
-    PROT_NONE / write-permission checks in {!translate_va}'s order against
-    the live [pkru], and returns the physical address with the walk
-    latency (0 — it is a proven hit) in [last_lat]. *)
-
-val read64_cached : t -> va:int -> info:int -> int
-(** {!read64_fast} through {!translate_cached}. *)
-
-val write64_cached : t -> va:int -> info:int -> int -> unit
-(** {!write64_fast} through {!translate_cached}. *)
-
-val slot_info_for : t -> vpn:int -> int
-(** The packed entry the most recent successful translation of a [va] on
-    this page left in the TLB — captured together with
-    {!generation_token} to charge an inline slot. *)
-
 (** {2 Translation and access} *)
 
 val translate : t -> va:int -> access:Fault.access -> int * int

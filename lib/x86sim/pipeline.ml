@@ -342,33 +342,6 @@ let issue_packed_static t ~meta =
     ~serialize:false ~port ~dep:0.0 ~lat:(float_of_int (meta lsr meta_lat_shift))
     ~busy:(Array.unsafe_get recip_throughput port)
 
-(* Both halves of a macro-fused uop pair, back to back. Nothing but the
-   two [issue_core_f] updates happens in between, so the scoreboard state
-   is bit-identical to two separate [issue_packed_static] calls — the
-   trace optimizer's fused arms pay one cross-module call instead of two.
-   The differential sweeps (fusion on vs off) pin the equivalence. *)
-let issue_packed_pair_static t ~m1 ~m2 =
-  let port1 = (m1 lsr 30) land 7 in
-  issue_core_f t
-    ~s1:((m1 land 0x3F) - 1)
-    ~s2:(((m1 lsr 6) land 0x3F) - 1)
-    ~s3:(((m1 lsr 12) land 0x3F) - 1)
-    ~d1:(((m1 lsr 18) land 0x3F) - 1)
-    ~d2:(((m1 lsr 24) land 0x3F) - 1)
-    ~serialize:false ~port:port1 ~dep:0.0
-    ~lat:(float_of_int (m1 lsr meta_lat_shift))
-    ~busy:(Array.unsafe_get recip_throughput port1);
-  let port2 = (m2 lsr 30) land 7 in
-  issue_core_f t
-    ~s1:((m2 land 0x3F) - 1)
-    ~s2:(((m2 lsr 6) land 0x3F) - 1)
-    ~s3:(((m2 lsr 12) land 0x3F) - 1)
-    ~d1:(((m2 lsr 18) land 0x3F) - 1)
-    ~d2:(((m2 lsr 24) land 0x3F) - 1)
-    ~serialize:false ~port:port2 ~dep:0.0
-    ~lat:(float_of_int (m2 lsr meta_lat_shift))
-    ~busy:(Array.unsafe_get recip_throughput port2)
-
 (* The labeled and gate forms: floats go through the io slots, so a
    caller passing constant latencies allocates nothing. The pending
    [io_dep] floor is consumed as in [issue_fast] (only a load's issue ever

@@ -110,11 +110,6 @@ val issue_packed_static : t -> meta:int -> unit
 (** {!issue_packed} with the latency also taken from [meta] — the form
     used by translated ALU-like operations whose latency is static. *)
 
-val issue_packed_pair_static : t -> m1:int -> m2:int -> unit
-(** Two {!issue_packed_static} issues back to back, bit-identically — the
-    form used by a macro-fused uop pair whose halves have no fault point
-    (and no other architectural effect) between their issues. *)
-
 val io : t -> float array
 (** The float parameter/result channel shared with {!issue_fast}. Fetch it
     once and keep it: float-array indexing never boxes, unlike float

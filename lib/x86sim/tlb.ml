@@ -16,11 +16,6 @@ type t = {
   mutable eviction_count : int;
       (* inserts that displaced a live translation for a different page
          (direct-mapped conflict) — observability only *)
-  mutable mutation_count : int;
-      (* monotone content-change counter: bumped on every insert and every
-         (full or per-page) flush, never reset — the Mmu generation-token
-         ingredient that lets derived caches observe "this TLB's contents
-         may differ from when you last looked" with a single int compare *)
 }
 
 let create ?(slots = 1024) () =
@@ -40,7 +35,6 @@ let create ?(slots = 1024) () =
     hit_count = 0;
     miss_count = 0;
     eviction_count = 0;
-    mutation_count = 0;
   }
 
 let slot_of t vpn = vpn land (t.slots - 1)
@@ -115,7 +109,6 @@ let insert_fields t ~vpn ~ept ~pt_gen ~ept_gen ~hfn ~readable ~writable ~pkey =
   let s = slot_of t vpn in
   let prev = t.vpns.(s) in
   if prev >= 0 && prev <> vpn then t.eviction_count <- t.eviction_count + 1;
-  t.mutation_count <- t.mutation_count + 1;
   t.vpns.(s) <- vpn;
   t.epts.(s) <- ept;
   t.pt_gens.(s) <- pt_gen;
@@ -133,27 +126,15 @@ let insert t ~vpn ~ept ~pt_gen ~ept_gen hit =
   insert_fields t ~vpn ~ept ~pt_gen ~ept_gen ~hfn:hit.hfn ~readable:hit.readable
     ~writable:hit.writable ~pkey:hit.pkey
 
-let flush t =
-  Array.fill t.vpns 0 t.slots (-1);
-  t.mutation_count <- t.mutation_count + 1
+let flush t = Array.fill t.vpns 0 t.slots (-1)
 
 let flush_page t ~vpn =
   let s = slot_of t vpn in
-  if t.vpns.(s) = vpn then begin
-    t.vpns.(s) <- -1;
-    t.mutation_count <- t.mutation_count + 1
-  end
-
-(* An external cache (the trace tier's inline translation slots) proved —
-   via the mutation counter — that a probe for its cached page would have
-   hit with the same entry; it posts the hit here so TLB statistics are
-   identical whether or not the probe was short-circuited. *)
-let note_hit t = t.hit_count <- t.hit_count + 1
+  if t.vpns.(s) = vpn then t.vpns.(s) <- -1
 
 let hits t = t.hit_count
 let misses t = t.miss_count
 let evictions t = t.eviction_count
-let mutations t = t.mutation_count
 
 let reset_stats t =
   t.hit_count <- 0;

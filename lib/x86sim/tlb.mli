@@ -80,22 +80,5 @@ val evictions : t -> int
 (** Inserts that displaced a live translation for a {e different} page
     (direct-mapped conflicts). Observability only. *)
 
-val note_hit : t -> unit
-(** Record a hit without probing. Used by derived caches (the trace tier's
-    inline translation slots) that have proven — via {!mutations} — that a
-    real probe would hit with an identical entry: the probe is
-    short-circuited but the statistics stay indistinguishable from the
-    un-cached run. *)
-
-val mutations : t -> int
-(** Monotone count of content changes: every {!insert}/{!insert_fields},
-    every {!flush}, and every effective {!flush_page} bumps it; nothing —
-    not even {!reset_stats} — ever resets it. Two equal readings therefore
-    guarantee the TLB's contents are unchanged in between; derived caches
-    ({!Mmu.generation_token}) fold this into their validity token so any
-    fill, conflict eviction or shootdown flush conservatively invalidates
-    them. *)
-
 val reset_stats : t -> unit
-(** Zero the hit/miss/eviction statistics. Does {e not} touch
-    {!mutations}, which must stay monotone for token validity. *)
+(** Zero the hit/miss/eviction statistics. *)

@@ -32,50 +32,21 @@ type uop =
   | Uaesimc of { d : int; s : int }
   | Uvext_high of { d : int; s : int; meta : int }
   | Uvins_high of { d : int; s : int; meta : int }
-  (* ---- Trace-lane optimizer shapes (built by Traceopt, never by
-     [uop_of]). They only appear inside optimized trace bodies, which are
-     executed exclusively by the trace tier's fast path; the block tier
-     and the careful trace path never see them. Each is observationally
-     identical to the uop (or adjacent uop pair) it replaces — the
-     fusion-on/off differential sweeps pin that. *)
-  (* ALU with a dead flag result: the [d2:flags] write is elided because a
-     later flag write is provably observed first. Same [meta]. *)
-  | Ualu_rr_nf of { op : Insn.alu; d : int; s : int; meta : int }
-  | Ualu_ri_nf of { op : Insn.alu; d : int; imm : int; meta : int }
-  (* Memory uops with an inline translation slot: [slot] indexes the
-     owning trace's vpn/info/token arrays; on a token-valid vpn match the
-     TLB probe and page walk are short-circuited (the hit is still
-     posted), otherwise the full path runs and recharges the slot. *)
-  | Uload_bd_c of { d : int; base : int; disp : int; slot : int; meta : int }
-  | Uload_gen_c of
-      { d : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  | Ustore_bd_c of { s : int; base : int; disp : int; slot : int; meta : int }
-  | Ustore_gen_c of
-      { s : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  | Ustorei_bd_c of { imm : int; base : int; disp : int; slot : int; meta : int }
-  | Ustorei_gen_c of
-      { imm : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  (* Macro-fused [alu_ri d, imm] + base+disp access through [d] (the SFI
-     mask-then-access idiom): one dispatch computes the masked address,
-     issues the ALU half ([m1], before the access's fault point), then
-     performs the slot-cached access and issues [m2]. [nf] carries the
-     dead-flag marking of the ALU half. *)
-  | Ufuse_mask_load of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; ld : int; disp : int;
-        slot : int; m2 : int }
-  | Ufuse_mask_store of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; s : int; disp : int;
-        slot : int; m2 : int }
-  | Ufuse_mask_storei of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; simm : int; disp : int;
-        slot : int; m2 : int }
-  (* Macro-fused [lea]/[lea32] + MPX bound check on its result (the MemSentry
-     MPX gate idiom). Both halves issue back to back (the eager path has
-     only a counter bump between them); the Bound_violation fault point is
-     after both issues, matching the [Ubndc] arm of [Cpu.exec_uop]. *)
-  | Ufuse_lea_bndc of
-      { d : int; base : int; index : int; scale : int; disp : int; w32 : bool; m1 : int;
-        upper : bool; b : int; m2 : int }
+  (* Retired shapes of the deleted trace-lane optimizer, kept only because
+     bench/perf/replay.ml still matches their names and fields. Nothing
+     constructs them; [Cpu.exec_uop] rejects them. *)
+  | Ualu_rr_nf of { meta : int }
+  | Ualu_ri_nf of { meta : int }
+  | Uload_bd_c of { meta : int }
+  | Uload_gen_c of { meta : int }
+  | Ustore_bd_c of { meta : int }
+  | Ustore_gen_c of { meta : int }
+  | Ustorei_bd_c of { meta : int }
+  | Ustorei_gen_c of { meta : int }
+  | Ufuse_mask_load of { m2 : int }
+  | Ufuse_mask_store of { m2 : int }
+  | Ufuse_mask_storei of { m2 : int }
+  | Ufuse_lea_bndc of { m1 : int; m2 : int }
 
 type terminator =
   | Term_halt
@@ -158,22 +129,6 @@ let invalidate cache =
      dropping it is all its invalidation takes. *)
   cache.ops <- [||]
 
-(* Eagerly sever every chained-successor link. Generation checks already
-   keep a stale link from being *followed* lazily, but the trace tier
-   compiles direct block references into superblocks, so invalidation for
-   it must be eager — and once it is, leaving generation-dead chain links
-   dangling in the block tier buys nothing. One O(code) walk per
-   [invalidate]; flushes are rare (in-place code mutation, TLB
-   shootdowns). *)
-let drop_links cache =
-  Array.iter
-    (fun b ->
-      if b != dummy_block then begin
-        b.succ_taken <- dummy_block;
-        b.succ_fall <- dummy_block
-      end)
-    cache.blocks
-
 (* The cached block at [entry] without compiling: [None] when the slot is
    empty or holds a stale generation. Introspection for tests and
    reports; the execution path uses [get]. *)
@@ -200,8 +155,8 @@ let[@inline] bump c = if c = max_int then c else c + 1
    [dyn_total] every indirect exit. One compare + one store per indirect
    branch, no per-target table — and if one target dominates (the common
    monomorphic case: returns to a single caller, one hot jump table slot)
-   it provably survives as the candidate. The superblock tier needs
-   exactly this: "is there a dominant successor worth chaining?" *)
+   it provably survives as the candidate, which is what [report]'s
+   hot-edge table shows. *)
 let note_dyn (b : block) target =
   b.dyn_total <- bump b.dyn_total;
   if b.dyn_votes = 0 then begin

@@ -23,8 +23,10 @@
       execution follows block→block pointers without re-looking-up the
       cache.
     - {b Invalidation}: the cache carries a generation counter; each block
-      records the generation it was compiled under, and blocks (and
-      chain links) whose generation is stale are recompiled on next entry.
+      records the generation it was compiled under, and blocks whose
+      generation is stale are recompiled on next entry. A chain link is
+      followed only while its target's generation is current, so a
+      stale link is never taken; nothing needs to sever it.
       [Cpu.load_program] switches caches when the program changes
       identity; [Cpu.flush_translations] bumps the generation for the rare
       case of in-place mutation of the code array.
@@ -85,50 +87,23 @@ type uop =
   | Uaesimc of { d : int; s : int }
   | Uvext_high of { d : int; s : int; meta : int }
   | Uvins_high of { d : int; s : int; meta : int }
-  | Ualu_rr_nf of { op : Insn.alu; d : int; s : int; meta : int }
-      (** {!Ualu_rr} whose flag result is provably dead (a later flag
-          write is observed first on every path out of the trace): the
-          [cmp] store is elided. Built only by [Traceopt]; appears only in
-          optimized trace bodies, like every constructor below. *)
-  | Ualu_ri_nf of { op : Insn.alu; d : int; imm : int; meta : int }
-  | Uload_bd_c of { d : int; base : int; disp : int; slot : int; meta : int }
-      (** {!Uload_bd} with an inline translation slot: [slot] indexes the
-          owning trace's vpn/info/token arrays ({!Mmu.generation_token}
-          contract). On a token-valid vpn match the TLB probe and walk are
-          short-circuited (the hit is still posted so statistics and
-          timing are unchanged); otherwise the full path runs and
-          recharges the slot. The [_c] variants below follow suit. *)
-  | Uload_gen_c of
-      { d : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  | Ustore_bd_c of { s : int; base : int; disp : int; slot : int; meta : int }
-  | Ustore_gen_c of
-      { s : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  | Ustorei_bd_c of { imm : int; base : int; disp : int; slot : int; meta : int }
-  | Ustorei_gen_c of
-      { imm : int; base : int; index : int; scale : int; disp : int; slot : int; meta : int }
-  | Ufuse_mask_load of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; ld : int; disp : int;
-        slot : int; m2 : int }
-      (** Macro-fused [alu_ri op d, imm] + [load ld, [d+disp]] — the SFI
-          mask-then-access idiom. One dispatch: apply the ALU, write [d]
-          (and [cmp] unless [nf]), issue [m1] {e before} the access's
-          fault point, then run the slot-cached access on the just-
-          computed value and issue [m2]. Architecturally identical to the
-          unfused pair. *)
-  | Ufuse_mask_store of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; s : int; disp : int;
-        slot : int; m2 : int }
-  | Ufuse_mask_storei of
-      { op : Insn.alu; d : int; imm : int; nf : bool; m1 : int; simm : int; disp : int;
-        slot : int; m2 : int }
-  | Ufuse_lea_bndc of
-      { d : int; base : int; index : int; scale : int; disp : int; w32 : bool; m1 : int;
-        upper : bool; b : int; m2 : int }
-      (** Macro-fused [lea]/[lea32] ([w32]) + MPX bound check on its
-          result — the MemSentry MPX gate idiom. Both halves issue back to
-          back ({!Pipeline.issue_packed_pair_static}; the eager path has
-          only a counter bump between them); the [Bound_violation] fault
-          point stays {e after} both issues, as in the unfused {!Ubndc}. *)
+  (* Retired shapes of the deleted trace-lane optimizer. Nothing
+     constructs them and [Cpu.exec_uop] rejects them with
+     [Invalid_argument]; they remain, reduced to the fields
+     bench/perf/replay.ml binds, until the next benchmark change drops
+     that file's arms for them. *)
+  | Ualu_rr_nf of { meta : int }
+  | Ualu_ri_nf of { meta : int }
+  | Uload_bd_c of { meta : int }
+  | Uload_gen_c of { meta : int }
+  | Ustore_bd_c of { meta : int }
+  | Ustore_gen_c of { meta : int }
+  | Ustorei_bd_c of { meta : int }
+  | Ustorei_gen_c of { meta : int }
+  | Ufuse_mask_load of { m2 : int }
+  | Ufuse_mask_store of { m2 : int }
+  | Ufuse_mask_storei of { m2 : int }
+  | Ufuse_lea_bndc of { m1 : int; m2 : int }
 
 (** How a block ends, with branch targets resolved to instruction
     indices. [Term_exec] instructions (serializing/handler instructions:
@@ -201,13 +176,6 @@ val invalidate : cache -> unit
     in-place mutation of the code array; program swaps are handled by
     cache identity ({!owns}). *)
 
-val drop_links : cache -> unit
-(** Eagerly sever every cached chained-successor link (reset to
-    {!dummy_block}). Called by [Cpu.flush_translations] right after
-    {!invalidate}: generation checks already keep stale links from being
-    followed lazily, but the trace tier bakes block references into
-    superblocks, so flushes must leave no dangling successor behind. *)
-
 val peek : cache -> int -> block option
 (** The cached, generation-fresh block at [entry], without compiling.
     [None] for empty slots, stale generations, or out-of-range entries.
@@ -227,8 +195,8 @@ val op : cache -> int -> op
 
     Always-on, allocation-free counters maintained by the translated
     execution loop: block execution counts and CFG edge profiles keyed by
-    block entry — the input the superblock/trace tier needs to pick hot
-    chains. *)
+    block entry. [Fastprof] captures them, and [report] shows them as its
+    hot-block and hot-edge tables. *)
 
 val compiles : cache -> int
 (** Blocks compiled (including recompilations after invalidation). *)

@@ -81,32 +81,45 @@ let test_fastprof_json_roundtrip () =
      profile is structurally identical, not merely close. *)
   Alcotest.(check bool) "profile round-trips exactly" true (fp' = fp)
 
-let test_fastprof_json_traces () =
-  let p = mpk_prepared () in
-  let tier = p.Framework.cpu.Cpu.traces in
-  Trace.set_hot_threshold tier 2;
-  Trace.set_min_samples tier 1;
-  Fastprof.install p;
-  (match Framework.run p with
-  | Cpu.Halted -> ()
-  | Cpu.Out_of_fuel -> Alcotest.fail "run out of fuel");
-  let fp = Fastprof.capture ~workload:"429.mcf" p in
-  Alcotest.(check bool) "profile has formed traces" true (fp.Fastprof.p_traces <> []);
-  Alcotest.(check bool) "coverage recorded" true (fp.Fastprof.p_trace_covered > 0);
-  let j = Fastprof.to_json fp in
-  let fp' = Fastprof.of_json (J.of_string (J.to_string j)) in
-  Alcotest.(check bool) "trace section round-trips exactly" true (fp' = fp);
-  (* Artifacts written before the trace tier existed have no "traces"
-     member: of_json must default it, not reject the profile. *)
-  let stripped =
-    match j with
-    | J.Obj fields -> J.Obj (List.filter (fun (k, _) -> k <> "traces") fields)
+(* Profiles written while the engine had a trace tier carry a "traces"
+   section. [of_json] must ignore it, so [perf-diff] can compare such a
+   profile with a current one. *)
+let test_fastprof_json_legacy_traces () =
+  let _, fp = run_profiled () in
+  let legacy =
+    match Fastprof.to_json fp with
+    | J.Obj fields ->
+      J.Obj
+        (fields
+        @ [
+            ( "traces",
+              J.Obj
+                [
+                  ("formed", J.Int 3);
+                  ("invalidated", J.Int 1);
+                  ("covered_insns", J.Int 1234);
+                  ("fused_uops", J.Int 5);
+                  ("inline_hits", J.Int 7);
+                  ( "aborts",
+                    J.Obj [ ("cold_branch", J.Int 2); ("indirect_minority", J.Int 0) ] );
+                  ( "list",
+                    J.List
+                      [
+                        J.Obj
+                          [
+                            ("entry", J.Int 4); ("blocks", J.List [ J.Int 4; J.Int 9 ]);
+                            ("insns", J.Int 12); ("execs", J.Int 40); ("side_exits", J.Int 1);
+                            ("cycles", J.Float 812.5); ("loops", J.Bool true);
+                          ];
+                      ] );
+                ] );
+          ])
     | _ -> Alcotest.fail "profile JSON is not an object"
   in
-  let fp0 = Fastprof.of_json stripped in
-  Alcotest.(check int) "absent traces: zero formed" 0 fp0.Fastprof.p_traces_formed;
-  Alcotest.(check bool) "absent traces: empty list" true (fp0.Fastprof.p_traces = []);
-  Alcotest.(check int) "remaining fields intact" fp.Fastprof.p_insns fp0.Fastprof.p_insns
+  let old = Fastprof.of_json (J.of_string (J.to_string legacy)) in
+  Alcotest.(check bool) "legacy traces section ignored" true (old = fp);
+  Alcotest.(check int) "no regressions against the legacy profile" 0
+    (List.length (Fastprof.diff ~threshold:0.0 ~before:old ~after:fp))
 
 (* --- observation is free: counters never change the modeled run --- *)
 
@@ -172,12 +185,7 @@ let test_diff_flags_regressions () =
   in
   let mk rows =
     { Fastprof.p_workload = "w"; p_technique = "MPK"; p_cycles = 0.0; p_insns = 0;
-      p_rows = rows; p_blocks = []; p_traces = []; p_traces_formed = 0;
-      p_traces_invalidated = 0; p_trace_covered = 0;
-      p_trace_fused = 0; p_trace_slots = 0; p_trace_dead_flags = 0;
-      p_inline_hits = 0; p_inline_misses = 0; p_abort_cold = 0;
-      p_abort_indirect = 0; p_abort_cap = 0; p_abort_handler = 0;
-      p_compiles = 0; p_invalidations = 0;
+      p_rows = rows; p_blocks = []; p_compiles = 0; p_invalidations = 0;
       p_l1_evictions = 0; p_l2_evictions = 0; p_l3_evictions = 0; p_tlb_evictions = 0;
       p_walk_cycles = 0 }
   in
@@ -204,7 +212,7 @@ let suite =
     Alcotest.test_case "site map validation" `Quick test_site_map_validation;
     Alcotest.test_case "fastprof json round-trip" `Quick test_fastprof_json_roundtrip;
     Alcotest.test_case "fastprof json: trace section + leniency" `Quick
-      test_fastprof_json_traces;
+      test_fastprof_json_legacy_traces;
     Alcotest.test_case "observation-only differential" `Quick test_differential_observation_only;
     Alcotest.test_case "collapsed flamegraph" `Quick test_collapsed_emitter;
     Alcotest.test_case "speedscope export" `Quick test_speedscope_emitter;

@@ -5,7 +5,9 @@
    a single modeled number: these tests check hook transparency. Random
    programs pin that down differentially: identical cycle count, counters,
    final registers and memory, with and without hooks, uninstrumented and
-   under MPK instrumentation.
+   under every isolation technique. A per-constructor sweep, fault
+   precision inside a block and translation-cache invalidation complete
+   the fast path's checks.
 
    Also covers the direct-mapped store buffer's capacity edge: two store
    lines that collide in a slot must evict (not merge), and only the
@@ -57,11 +59,15 @@ let prop_fast_equals_hooked =
     Test_differential.arb_recipe (fun r ->
       same_outcome (snapshot ~hooks:false r) (snapshot ~hooks:true r))
 
-let prop_fast_equals_hooked_mpk =
-  QCheck.Test.make ~name:"no-hook fast loop = hooked loop (MPK instrumented)" ~count:40
+(* Under every isolation technique, so the comparison covers the
+   techniques' full uop vocabulary: SFI masks, MPX checks, pkey switches,
+   EPT switches, AES-NI rounds, mprotect syscalls. *)
+let prop_fast_equals_hooked_techniques =
+  QCheck.Test.make ~name:"every technique: no-hook fast loop = hooked loop" ~count:40
     Test_differential.arb_recipe (fun r ->
-      let cfg = Framework.config (Technique.Mpk Mpk.Pkey.No_access) in
-      same_outcome (snapshot ~cfg ~hooks:false r) (snapshot ~cfg ~hooks:true r))
+      List.for_all
+        (fun cfg -> same_outcome (snapshot ~cfg ~hooks:false r) (snapshot ~cfg ~hooks:true r))
+        Test_differential.techniques)
 
 (* --- store-buffer capacity edge ---------------------------------------- *)
 
@@ -477,6 +483,27 @@ let exhaustive_differential () =
       Alcotest.(check (list string)) name [] (diff_fields fast hooked))
     exhaustive_cases
 
+(* The same sweep, seen from the tiers: the hooked loop interprets one
+   instruction at a time and must never enter a translated block, while
+   the no-hook run must actually execute in the block tier (its cache
+   profile records at least one block run). Without the second check a
+   fast path that silently fell back to stepping would pass the sweep. *)
+let interpreter_equals_block_tier () =
+  List.iter
+    (fun (name, items) ->
+      let run ~hooks =
+        let cpu = Cpu.create () in
+        let snap = run_case_on ~hooks cpu (fun () -> Cpu.run cpu) (items ()) in
+        (snap, List.length (Ublock.stats cpu.Cpu.tcache))
+      in
+      let interp, interp_blocks = run ~hooks:true in
+      let block, block_blocks = run ~hooks:false in
+      Alcotest.(check (list string)) (name ^ ": block tier = interpreter") []
+        (diff_fields block interp);
+      Alcotest.(check int) (name ^ ": interpreter ran no block") 0 interp_blocks;
+      Alcotest.(check bool) (name ^ ": block tier ran a block") true (block_blocks > 0))
+    exhaustive_cases
+
 (* The differential guard for the multi-vCPU refactor: a 1-vCPU
    [Machine.run] must be byte-identical to a bare [Cpu.run] — same
    cycles, counters, registers, vector file and memory — at any quantum,
@@ -500,148 +527,11 @@ let machine_single_core_differential () =
         exhaustive_cases)
     [ 1; 7; 1000 ]
 
-(* --- trace tier: three-tier differential sweep ------------------------- *)
+(* --- fault precision inside a block ------------------------------------- *)
 
-(* With the default hot threshold (64) the tiny sweep programs never form
-   a superblock, so the trace tier must be forced hot to be exercised:
-   threshold 2 means the second entry of any block attempts formation,
-   and [min_samples 1] trusts the single edge sample recorded by the
-   first iteration. (Threshold 1 would trigger before the block's own
-   edge profile has any sample, so nothing would ever form.) *)
-let force_traces cpu =
-  let tier = cpu.Cpu.traces in
-  Trace.set_hot_threshold tier 2;
-  Trace.set_min_samples tier 1
-
-(* Every constructor through all three execution tiers: the hooked
-   interpreter loop, the block tier (traces disabled), and the trace tier
-   (formation forced hot). One engine, three dispatch strategies — the
-   complete architectural state must be bit-identical. *)
-let three_tier_differential () =
-  List.iter
-    (fun (name, items) ->
-      let interp = run_case ~hooks:true (items ()) in
-      let block_cpu = Cpu.create () in
-      Cpu.set_traces_enabled block_cpu false;
-      let block =
-        run_case_on ~hooks:false block_cpu (fun () -> Cpu.run block_cpu) (items ())
-      in
-      let trace_cpu = Cpu.create () in
-      force_traces trace_cpu;
-      let traced =
-        run_case_on ~hooks:false trace_cpu (fun () -> Cpu.run trace_cpu) (items ())
-      in
-      Alcotest.(check (list string)) (name ^ ": block tier = interpreter") []
-        (diff_fields block interp);
-      Alcotest.(check (list string)) (name ^ ": trace tier = block tier") []
-        (diff_fields traced block))
-    exhaustive_cases
-
-(* Same sweep through a 1-vCPU [Machine.run] with formation forced hot, at
-   quanta that land mid-superblock: the trace executor's batched fuel
-   accounting must resume at exactly the right instruction when a quantum
-   expires inside a fused segment. *)
-let machine_trace_tier_differential () =
-  List.iter
-    (fun quantum ->
-      List.iter
-        (fun (name, items) ->
-          let direct = run_case ~hooks:false (items ()) in
-          let m = Machine.create () in
-          let cpu = Machine.cpu m 0 in
-          force_traces cpu;
-          let via_machine =
-            run_case_on ~hooks:false cpu (fun () -> Machine.run ~quantum m) (items ())
-          in
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s (traced, quantum %d)" name quantum)
-            [] (diff_fields direct via_machine))
-        exhaustive_cases)
-    [ 1; 7; 1000 ]
-
-(* --- trace-lane uop optimizer: fusion off, slot kill, lazy rip --------- *)
-
-(* The sweep above runs the trace tier with the optimizer at its default
-   (on). This completes the matrix: the same constructors with the
-   optimizer explicitly off must also match the block tier, so a
-   divergence in either sweep pins the blame side (formation vs
-   rewriting). *)
-let three_tier_fusion_off_differential () =
-  List.iter
-    (fun (name, items) ->
-      let block_cpu = Cpu.create () in
-      Cpu.set_traces_enabled block_cpu false;
-      let block =
-        run_case_on ~hooks:false block_cpu (fun () -> Cpu.run block_cpu) (items ())
-      in
-      let plain_cpu = Cpu.create () in
-      force_traces plain_cpu;
-      Cpu.set_trace_fusion plain_cpu false;
-      let plain =
-        run_case_on ~hooks:false plain_cpu (fun () -> Cpu.run plain_cpu) (items ())
-      in
-      Alcotest.(check (list string)) (name ^ ": unoptimized traces = block tier") []
-        (diff_fields plain block))
-    exhaustive_cases
-
-(* A hot loop with a load and a store through a loop-invariant pointer:
-   forms a looping superblock whose optimized body carries inline
-   translation slots that hit every iteration after the first. *)
-let memory_loop_items ~n =
-  let i x = Program.I x in
-  let m = Insn.mem in
-  [
-    i (Insn.Mov_ri (Reg.rbx, n));
-    i (Insn.Mov_ri (Reg.rdx, data_va));
-    Program.Label "loop";
-    i (Insn.Load (Reg.rcx, m ~base:Reg.rdx 0));
-    i (Insn.Alu_ri (Insn.Add, Reg.rcx, 1));
-    i (Insn.Store (m ~base:Reg.rdx 0, Reg.rcx));
-    i (Insn.Alu_ri (Insn.Sub, Reg.rbx, 1));
-    i (Insn.Cmp_ri (Reg.rbx, 0));
-    i (Insn.Jcc (Insn.Ne, Insn.target "loop"));
-    i Insn.Halt;
-  ]
-
-let inline_slot_kill_is_invisible () =
-  let block_cpu = Cpu.create () in
-  Cpu.set_traces_enabled block_cpu false;
-  let block =
-    run_case_on ~hooks:false block_cpu (fun () -> Cpu.run block_cpu) (memory_loop_items ~n:60)
-  in
-  (* Live slots: the optimized body's loads/stores short-circuit the MMU
-     through the per-uop slot after the first iteration charges it. *)
-  let live_cpu = Cpu.create () in
-  force_traces live_cpu;
-  let live =
-    run_case_on ~hooks:false live_cpu (fun () -> Cpu.run live_cpu) (memory_loop_items ~n:60)
-  in
-  Alcotest.(check (list string)) "live inline slots = block tier" [] (diff_fields live block);
-  Alcotest.(check bool) "slots were installed and hit" true
-    (live_cpu.Cpu.traces.Trace.cached_slots > 0 && live_cpu.Cpu.traces.Trace.inline_hits > 0);
-  (* Killed slots: pre-set the adaptive kill switch (normally flipped by
-     the executor on a thrashing miss ratio) — every optimized memory uop
-     must take the eager path with identical architectural results. *)
-  let killed_cpu = Cpu.create () in
-  force_traces killed_cpu;
-  (* Set the switch inside the run thunk: [load_program] recreates the
-     tier (statistics and the switch start fresh per program). *)
-  let killed =
-    run_case_on ~hooks:false killed_cpu
-      (fun () ->
-        killed_cpu.Cpu.traces.Trace.inline_dead <- true;
-        Cpu.run killed_cpu)
-      (memory_loop_items ~n:60)
-  in
-  Alcotest.(check (list string)) "killed inline slots = block tier" []
-    (diff_fields killed block);
-  Alcotest.(check int) "killed run never hit a slot" 0 killed_cpu.Cpu.traces.Trace.inline_hits
-
-(* A load walking forward 8 bytes per iteration: [run_case_on] maps 8 KiB
-   at [data_va], so iteration 1024 page-faults — long after the loop has
-   formed a superblock, so the fault is raised from the optimizer's
-   lazy-rip fast path, which must reconstruct the faulting [rip] from the
-   pipeline issue delta. *)
+(* A load walking forward 8 bytes per iteration, second in its loop block:
+   [run_case_on] maps 8 KiB at [data_va], so iteration 1025 page-faults
+   at instruction 3. *)
 let walking_load_items ~n =
   let i x = Program.I x in
   let m = Insn.mem in
@@ -649,18 +539,17 @@ let walking_load_items ~n =
     i (Insn.Mov_ri (Reg.rbx, n));
     i (Insn.Mov_ri (Reg.rdx, data_va));
     Program.Label "loop";
+    i (Insn.Alu_ri (Insn.Sub, Reg.rbx, 1));
     i (Insn.Load (Reg.rcx, m ~base:Reg.rdx 0));
     i (Insn.Alu_ri (Insn.Add, Reg.rdx, 8));
-    i (Insn.Alu_ri (Insn.Sub, Reg.rbx, 1));
     i (Insn.Cmp_ri (Reg.rbx, 0));
     i (Insn.Jcc (Insn.Ne, Insn.target "loop"));
     i Insn.Halt;
   ]
 
-(* A lea+bndcu pair (the [Ufuse_lea_bndc] fusion shape) whose checked
-   address walks past the bound mid-trace: [Bound_violation] is raised by
-   the check stage, so the reconstruction must account for the fused
-   uop's already-issued instruction (the issued-minus-one case). *)
+(* A lea+bndcu pair whose checked address walks past the bound: iteration
+   52 raises [Bound_violation] from the bndcu at instruction 4, after the
+   check has issued. *)
 let bound_walk_items ~n =
   let i x = Program.I x in
   let m = Insn.mem in
@@ -679,107 +568,22 @@ let bound_walk_items ~n =
     i Insn.Halt;
   ]
 
-let lazy_rip_fault_precision () =
+(* A fault in the middle of a hot, self-chained block: [run_case_on]'s
+   handler halts on the fault, so [rip] is left where delivery found it.
+   It must name the faulting instruction, and the whole machine state must
+   equal the hooked loop's. *)
+let fault_precision_in_block () =
   List.iter
-    (fun (name, items) ->
-      let interp = run_case ~hooks:true (items ()) in
-      let trace_cpu = Cpu.create () in
-      force_traces trace_cpu;
-      let traced =
-        run_case_on ~hooks:false trace_cpu (fun () -> Cpu.run trace_cpu) (items ())
-      in
-      Alcotest.(check (list string)) (name ^ ": mid-trace fault = interpreter") []
-        (diff_fields traced interp);
-      Alcotest.(check bool) (name ^ ": run actually executed inside a trace") true
-        (trace_cpu.Cpu.traces.Trace.covered_insns > 0))
+    (fun (name, items, faulting) ->
+      let block = run_case ~hooks:false (items ()) in
+      let hooked = run_case ~hooks:true (items ()) in
+      Alcotest.(check (list string)) (name ^ ": block tier = hooked loop") []
+        (diff_fields block hooked);
+      Alcotest.(check int) (name ^ ": one fault delivered") 1 block.f_counters.Cpu.faults;
+      Alcotest.(check int) (name ^ ": rip names the faulting instruction") faulting block.f_rip)
     [
-      ("walking load page fault", fun () -> walking_load_items ~n:1200);
-      ("lea+bndcu bound violation", fun () -> bound_walk_items ~n:80);
-    ]
-
-(* Random IR programs under the baseline and every isolation technique:
-   with formation forced hot and the optimizer on (its default), the
-   outcome must be byte-identical to the hooked interpreter loop. This is
-   the optimizer's end-to-end invisibility property over the techniques'
-   full uop vocabulary (SFI masks, MPX checks, pkey switches, AES-NI
-   rounds, ...). *)
-let snapshot_hot ?cfg r =
-  let mdl = Test_differential.build_program r in
-  let lowered = Ir.Lower.lower mdl in
-  let p =
-    match cfg with
-    | None -> Memsentry.Framework.prepare_baseline lowered
-    | Some c -> Memsentry.Framework.prepare c lowered
-  in
-  let cpu = p.Memsentry.Framework.cpu in
-  force_traces cpu;
-  (match Memsentry.Framework.run p with
-  | Cpu.Halted -> ()
-  | Cpu.Out_of_fuel -> Alcotest.fail "hot traced run out of fuel");
-  {
-    cycles = Cpu.cycles cpu;
-    counters = cpu.Cpu.counters;
-    gprs = Array.init Reg.gpr_count (Cpu.get_gpr cpu);
-    mem_g = Mmu.peek64 cpu.Cpu.mmu ~va:(Ir.Lower.global_va lowered "g");
-  }
-
-let all_configs = None :: List.map (fun c -> Some c) Test_differential.techniques
-
-let prop_optimizer_invisible_under_techniques =
-  QCheck.Test.make ~name:"optimized hot traces = hooked interpreter (all techniques)"
-    ~count:15 Test_differential.arb_recipe (fun r ->
-      List.for_all
-        (fun cfg -> same_outcome (snapshot ?cfg ~hooks:true r) (snapshot_hot ?cfg r))
-        all_configs)
-
-(* Whole synthetic SPEC workloads on the plain fast path: no hooks and no
-   site map, so [exec_trace] runs the optimizer's rewritten bodies (a
-   site map, as [Fastprof.install] sets, sends every trace down the
-   careful path and would make this comparison vacuous). Each workload
-   runs three ways: fusion on (the default), fusion off, and traces off.
-   Cycles, the CPI stack and every counter must agree, and the fusion-on
-   run must have installed fused uops and probed its inline translation
-   slots, which proves the optimized bodies ran. At 200 iterations every
-   workload forms traces. *)
-let workload_fusion_invisible () =
-  let iterations = 200 in
-  let mpx_rw = Framework.config ~address_kind:Instr.Reads_and_writes Technique.Mpx in
-  let sfi_rw = Framework.config ~address_kind:Instr.Reads_and_writes Technique.Sfi in
-  List.iter
-    (fun (bench, label, cfg) ->
-      let name = bench ^ " " ^ label in
-      let prof = Workloads.Spec2006.find bench in
-      let run setup =
-        let p =
-          match cfg with
-          | None -> Framework.prepare_baseline (Workloads.Synth.lowered ~iterations prof)
-          | Some cfg -> Workloads.Runner.prepare_instrumented ~iterations prof cfg
-        in
-        let cpu = p.Framework.cpu in
-        setup cpu;
-        (match Framework.run p with
-        | Cpu.Halted -> ()
-        | Cpu.Out_of_fuel -> Alcotest.fail (name ^ " out of fuel"));
-        cpu
-      in
-      let on = run (fun _ -> ()) in
-      List.iter
-        (fun (variant, cpu) ->
-          let what field = Printf.sprintf "%s: %s, fusion on = %s" name field variant in
-          Alcotest.(check (float 0.0)) (what "cycles") (Cpu.cycles cpu) (Cpu.cycles on);
-          Alcotest.(check (array (float 0.0))) (what "CPI stack")
-            (Pipeline.cpi_totals cpu.Cpu.pipe) (Pipeline.cpi_totals on.Cpu.pipe);
-          Alcotest.(check bool) (what "counters") true (cpu.Cpu.counters = on.Cpu.counters))
-        [
-          ("fusion off", run (fun cpu -> Cpu.set_trace_fusion cpu false));
-          ("traces off", run (fun cpu -> Cpu.set_traces_enabled cpu false));
-        ];
-      let tier = on.Cpu.traces in
-      Alcotest.(check bool) (name ^ ": fused uops installed") true (tier.Trace.fused_uops > 0);
-      Alcotest.(check bool) (name ^ ": inline slots probed") true
-        (tier.Trace.inline_hits + tier.Trace.inline_misses > 0))
-    [
-      ("mcf", "baseline", None); ("mcf", "MPX-rw", Some mpx_rw); ("povray", "SFI-rw", Some sfi_rw);
+      ("walking load page fault", (fun () -> walking_load_items ~n:1200), 3);
+      ("lea+bndcu bound violation", (fun () -> bound_walk_items ~n:80), 4);
     ]
 
 (* --- whole-run allocation guards -------------------------------------- *)
@@ -788,13 +592,12 @@ let workload_fusion_invisible () =
    200- and a 400-iteration fast-path run of [bench] under [cfg]. The
    difference cancels fixed per-run costs such as block compilation,
    which would swamp a plain per-run ratio. *)
-let marginal_words ~bench cfg ~setup ~count =
+let marginal_words ~bench cfg ~count =
   let measure iterations =
     let p =
       Workloads.Runner.prepare_instrumented ~iterations (Workloads.Spec2006.find bench) cfg
     in
     let cpu = p.Framework.cpu in
-    setup cpu;
     let w0 = Gc.minor_words () in
     (match Framework.run p with
     | Cpu.Halted -> ()
@@ -816,12 +619,11 @@ let crypt_rounds_allocation_free () =
   List.iter
     (fun bench ->
       check_marginal (bench ^ " crypt call-ret, per aes op")
-        (marginal_words ~bench cfg ~setup:ignore ~count:(fun c -> c.Cpu.aes_ops)))
+        (marginal_words ~bench cfg ~count:(fun c -> c.Cpu.aes_ops)))
     [ "povray"; "hmmer" ]
 
 (* MPK call-ret crosses a wrpkru gate at every call and return; each ends
-   a block chain. Traces off, so the trace tier's own per-entry cost
-   stays out of the measurement. *)
+   a block chain. *)
 let mpk_gates_allocation_free () =
   let cfg =
     Framework.config ~switch_policy:Instr.At_call_ret (Technique.Mpk Mpk.Pkey.No_access)
@@ -829,15 +631,13 @@ let mpk_gates_allocation_free () =
   List.iter
     (fun bench ->
       check_marginal (bench ^ " MPK call-ret, per wrpkru")
-        (marginal_words ~bench cfg
-           ~setup:(fun cpu -> Cpu.set_traces_enabled cpu false)
-           ~count:(fun c -> c.Cpu.wrpkrus)))
+        (marginal_words ~bench cfg ~count:(fun c -> c.Cpu.wrpkrus)))
     [ "povray"; "hmmer" ]
 
-(* --- trace tier: loops, side exits, SMC invalidation ------------------- *)
+(* --- translation-cache invalidation ------------------------------------ *)
 
-(* A counted loop whose body is one block: forms a single-segment looping
-   superblock. The [add] at index 2 is the SMC test's mutation target. *)
+(* A counted loop whose body is one self-chained block. The [add] at index
+   2 is the mutation target of the invalidation tests. *)
 let counted_loop_items ~n ~inc =
   let i x = Program.I x in
   [
@@ -851,138 +651,116 @@ let counted_loop_items ~n ~inc =
     i Insn.Halt;
   ]
 
-(* A loop that calls a helper from a hot site every iteration and from a
-   second, cold site exactly once after the loop: the helper's [ret]
-   predicts the hot return address, so the final call must take the
-   indirect-guard side exit with the architecturally-correct rip. *)
-let biased_call_items ~n =
+let reset_for_rerun cpu =
+  cpu.Cpu.halted <- false;
+  cpu.Cpu.rip <- 0
+
+let run_to_halt cpu =
+  match Cpu.run cpu with Cpu.Halted -> () | Cpu.Out_of_fuel -> Alcotest.fail "fuel"
+
+(* A flush leaves cached chain links in place, pointing into the flushed
+   generation. The loop block's back edge links to itself; after its body
+   is mutated and the cache flushed, the rerun must execute the new code,
+   and the stale block must never run again. *)
+let stale_links_never_followed () =
+  let cpu = Cpu.create () in
+  let prog = Program.assemble (counted_loop_items ~n:20 ~inc:1) in
+  Cpu.load_program cpu prog;
+  run_to_halt cpu;
+  match Ublock.peek cpu.Cpu.tcache 2 with
+  | None -> Alcotest.fail "loop block not cached after a hot run"
+  | Some stale ->
+    Alcotest.(check bool) "loop back-edge link populated" true
+      (stale.Ublock.succ_taken == stale);
+    (Program.code prog).(2) <- Insn.Alu_ri (Insn.Add, Reg.rcx, 3);
+    Cpu.flush_translations cpu;
+    Alcotest.(check bool) "stale block no longer peekable" true
+      (Ublock.peek cpu.Cpu.tcache 2 = None);
+    let execs = stale.Ublock.exec_count in
+    reset_for_rerun cpu;
+    run_to_halt cpu;
+    Alcotest.(check int) "rerun executes the mutated body" 60 (Cpu.get_gpr cpu Reg.rcx);
+    Alcotest.(check int) "stale block never ran after the flush" execs
+      stale.Ublock.exec_count
+
+(* Self-modifying code from inside the running chain: the loop's
+   [syscall] ends its first block, and on the 10th call the handler
+   rewrites the [add] before it and flushes while that block is the one
+   executing. The block in progress is torn down: every later iteration
+   runs a fresh translation of the new code, on the fast loop and on the
+   hooked loop alike, and the superseded block never runs again. *)
+let smc_loop_items ~n =
   let i x = Program.I x in
   [
     i (Insn.Mov_ri (Reg.rbx, n));
     i (Insn.Mov_ri (Reg.rcx, 0));
     Program.Label "loop";
-    i (Insn.Call (Insn.target "f"));
+    i (Insn.Alu_ri (Insn.Add, Reg.rcx, 1));
+    i Insn.Syscall;
     i (Insn.Alu_ri (Insn.Sub, Reg.rbx, 1));
     i (Insn.Cmp_ri (Reg.rbx, 0));
     i (Insn.Jcc (Insn.Ne, Insn.target "loop"));
-    i (Insn.Call (Insn.target "f"));
     i Insn.Halt;
-    Program.Label "f";
-    i (Insn.Alu_ri (Insn.Add, Reg.rcx, 7));
-    i Insn.Ret;
   ]
 
-let run_traced_vs_block ~name items =
-  let block_cpu = Cpu.create () in
-  Cpu.set_traces_enabled block_cpu false;
-  let block = run_case_on ~hooks:false block_cpu (fun () -> Cpu.run block_cpu) items in
-  let trace_cpu = Cpu.create () in
-  force_traces trace_cpu;
-  let traced = run_case_on ~hooks:false trace_cpu (fun () -> Cpu.run trace_cpu) items in
-  Alcotest.(check (list string)) (name ^ ": trace tier = block tier") []
-    (diff_fields traced block);
-  trace_cpu.Cpu.traces
-
-let trace_side_exit_jcc () =
-  (* 40 iterations: the loop's jcc is overwhelmingly taken, so the formed
-     superblock predicts taken and loops internally; the final fall-through
-     iteration must leave through the side exit, not corrupt state. *)
-  let tier = run_traced_vs_block ~name:"counted loop" (counted_loop_items ~n:40 ~inc:3) in
-  Alcotest.(check bool) "superblock formed" true (tier.Trace.formed_count >= 1);
-  Alcotest.(check bool) "insns retired inside superblocks" true (tier.Trace.covered_insns > 0);
-  let loopers = List.filter (fun s -> s.Trace.t_loops) (Trace.stats tier) in
-  Alcotest.(check bool) "a looping trace formed" true (loopers <> []);
-  let side_exits =
-    List.fold_left (fun a s -> a + s.Trace.t_side_exits) 0 (Trace.stats tier)
-  in
-  Alcotest.(check bool) "loop exit took a side exit" true (side_exits >= 1)
-
-let trace_side_exit_indirect () =
-  (* Both mispredict flavors in one run: the loop-ending jcc fall-through
-     and the helper's ret returning to the cold call site. *)
-  let tier = run_traced_vs_block ~name:"biased call" (biased_call_items ~n:40) in
-  Alcotest.(check bool) "superblocks formed" true (tier.Trace.formed_count >= 1);
-  let side_exits =
-    List.fold_left (fun a s -> a + s.Trace.t_side_exits) 0 (Trace.stats tier)
-  in
-  Alcotest.(check bool) "jcc exit and ret mispredict both side-exited" true (side_exits >= 2)
-
-let reset_for_rerun cpu =
-  cpu.Cpu.halted <- false;
-  cpu.Cpu.rip <- 0
-
-let smc_invalidates_active_superblock () =
-  let cpu = Cpu.create () in
-  force_traces cpu;
-  let prog = Program.assemble (counted_loop_items ~n:50 ~inc:1) in
-  Cpu.load_program cpu prog;
-  (match Cpu.run cpu with Cpu.Halted -> () | Cpu.Out_of_fuel -> Alcotest.fail "fuel");
-  Alcotest.(check int) "original increment" 50 (Cpu.get_gpr cpu Reg.rcx);
-  let tier = cpu.Cpu.traces in
-  Alcotest.(check bool) "loop ran as a superblock" true
-    (tier.Trace.formed_count >= 1 && tier.Trace.covered_insns > 0);
-  let formed_before = tier.Trace.formed_count in
-  (* Mutate the loop body in place (index 2 = the add), then flush: the
-     active superblock must be torn down eagerly... *)
-  (Program.code prog).(2) <- Insn.Alu_ri (Insn.Add, Reg.rcx, 2);
-  Cpu.flush_translations cpu;
-  Alcotest.(check int) "flush empties the trace registry" 0 (Trace.live_count tier);
-  Alcotest.(check bool) "flush counted the invalidation" true
-    (tier.Trace.invalidated_count >= 1);
-  (* ...and the rerun must re-form under the new code and execute the new
-     semantics. *)
-  reset_for_rerun cpu;
-  (match Cpu.run cpu with Cpu.Halted -> () | Cpu.Out_of_fuel -> Alcotest.fail "fuel");
-  Alcotest.(check int) "mutated increment after flush" 100 (Cpu.get_gpr cpu Reg.rcx);
-  Alcotest.(check bool) "superblock re-formed over the new code" true
-    (cpu.Cpu.traces.Trace.formed_count > formed_before)
-
-let eager_link_drop () =
-  (* Chained successor links must be severed by the flush itself, not
-     left for lazy generation checks: the trace tier bakes block
-     references into superblocks, so a dangling link is a correctness
-     hazard even if the block tier would never follow it. *)
-  let cpu = Cpu.create () in
-  Cpu.set_traces_enabled cpu false;
-  Cpu.load_program cpu (Program.assemble (counted_loop_items ~n:20 ~inc:1));
-  (match Cpu.run cpu with Cpu.Halted -> () | Cpu.Out_of_fuel -> Alcotest.fail "fuel");
-  match Ublock.peek cpu.Cpu.tcache 2 with
-  | None -> Alcotest.fail "loop block not cached after a hot run"
-  | Some b ->
-    Alcotest.(check bool) "loop back-edge link populated" true
-      (b.Ublock.succ_taken != Ublock.dummy_block);
-    Cpu.flush_translations cpu;
-    Alcotest.(check bool) "flush severed the taken link" true
-      (b.Ublock.succ_taken == Ublock.dummy_block);
-    Alcotest.(check bool) "flush severed the fall link" true
-      (b.Ublock.succ_fall == Ublock.dummy_block);
-    Alcotest.(check bool) "stale block no longer peekable" true
-      (Ublock.peek cpu.Cpu.tcache 2 = None)
-
-(* --- translation-cache invalidation ------------------------------------ *)
+let smc_flush_tears_down_active_block () =
+  List.iter
+    (fun hooks ->
+      let what s = Printf.sprintf "%s (%s)" s (if hooks then "hooked" else "fast") in
+      let cpu = Cpu.create () in
+      let prog = Program.assemble (smc_loop_items ~n:30) in
+      Cpu.load_program cpu prog;
+      if hooks then ignore (Cpu.add_step_hook cpu (fun _ _ -> ()));
+      let calls = ref 0 and superseded = ref None in
+      cpu.Cpu.syscall_handler <-
+        (fun cpu ->
+          incr calls;
+          if !calls = 10 then begin
+            superseded :=
+              Option.map
+                (fun (b : Ublock.block) -> (b, b.Ublock.exec_count))
+                (Ublock.peek cpu.Cpu.tcache 2);
+            (Program.code prog).(2) <- Insn.Alu_ri (Insn.Add, Reg.rcx, 2);
+            Cpu.flush_translations cpu;
+            Alcotest.(check bool) (what "flush drops the active block") true
+              (Ublock.peek cpu.Cpu.tcache 2 = None)
+          end);
+      run_to_halt cpu;
+      Alcotest.(check int) (what "10 old iterations, then 20 new ones") 50
+        (Cpu.get_gpr cpu Reg.rcx);
+      match !superseded with
+      | None -> if not hooks then Alcotest.fail "loop block not cached when the flush ran"
+      | Some (old, execs_at_flush) ->
+        Alcotest.(check int) (what "superseded block never ran again") execs_at_flush
+          old.Ublock.exec_count;
+        Alcotest.(check bool) (what "a fresh block runs the new code") true
+          (match Ublock.peek cpu.Cpu.tcache 2 with
+          | Some b -> b != old && b.Ublock.exec_count > 0
+          | None -> false))
+    [ false; true ]
 
 let translation_invalidation () =
   let cpu = Cpu.create () in
   let prog = Program.assemble [ Program.I (Insn.Mov_ri (Reg.rax, 1)); Program.I Insn.Halt ] in
   Cpu.load_program cpu prog;
-  (match Cpu.run cpu with Cpu.Halted -> () | Cpu.Out_of_fuel -> Alcotest.fail "fuel");
+  run_to_halt cpu;
   Alcotest.(check int) "first run executes original code" 1 (Cpu.get_gpr cpu Reg.rax);
   (* In-place mutation of the code array is invisible to the cached
      translation until flushed — that is the documented contract. *)
   (Program.code prog).(0) <- Insn.Mov_ri (Reg.rax, 2);
   reset_for_rerun cpu;
-  (match Cpu.run cpu with Cpu.Halted -> () | Cpu.Out_of_fuel -> Alcotest.fail "fuel");
+  run_to_halt cpu;
   Alcotest.(check int) "stale translation still executes old code" 1 (Cpu.get_gpr cpu Reg.rax);
   Cpu.flush_translations cpu;
   reset_for_rerun cpu;
-  (match Cpu.run cpu with Cpu.Halted -> () | Cpu.Out_of_fuel -> Alcotest.fail "fuel");
+  run_to_halt cpu;
   Alcotest.(check int) "flush_translations picks up mutated code" 2 (Cpu.get_gpr cpu Reg.rax);
   (* The hooked path executes memoized translations too, under the same
      contract. *)
   let hooked_run () =
     let id = Cpu.add_step_hook cpu (fun _ _ -> ()) in
     reset_for_rerun cpu;
-    (match Cpu.run cpu with Cpu.Halted -> () | Cpu.Out_of_fuel -> Alcotest.fail "fuel");
+    run_to_halt cpu;
     Cpu.remove_step_hook cpu id;
     Cpu.get_gpr cpu Reg.rax
   in
@@ -990,37 +768,38 @@ let translation_invalidation () =
   (Program.code prog).(0) <- Insn.Mov_ri (Reg.rax, 3);
   Alcotest.(check int) "hooked run keeps its translation until flushed" 2 (hooked_run ());
   Cpu.flush_translations cpu;
-  Alcotest.(check int) "hooked run picks up mutated code after flush" 3 (hooked_run ())
+  Alcotest.(check int) "hooked run picks up mutated code after flush" 3 (hooked_run ());
+  (* A hot, self-chained loop mutated in the middle of its block. *)
+  let loop = Program.assemble (counted_loop_items ~n:50 ~inc:1) in
+  Cpu.load_program cpu loop;
+  run_to_halt cpu;
+  Alcotest.(check int) "loop runs its original body" 50 (Cpu.get_gpr cpu Reg.rcx);
+  (Program.code loop).(2) <- Insn.Alu_ri (Insn.Add, Reg.rcx, 2);
+  Cpu.flush_translations cpu;
+  reset_for_rerun cpu;
+  run_to_halt cpu;
+  Alcotest.(check int) "flushed loop runs its mutated body" 100 (Cpu.get_gpr cpu Reg.rcx)
 
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_fast_equals_hooked;
-    QCheck_alcotest.to_alcotest prop_fast_equals_hooked_mpk;
+    QCheck_alcotest.to_alcotest prop_fast_equals_hooked_techniques;
     Alcotest.test_case "every Insn constructor: translated = interpreted" `Quick
       exhaustive_differential;
+    Alcotest.test_case "every Insn constructor: interpreter = block tier" `Quick
+      interpreter_equals_block_tier;
     Alcotest.test_case "1-vCPU Machine.run = Cpu.run (quanta 1/7/1000)" `Quick
       machine_single_core_differential;
-    Alcotest.test_case "every Insn constructor: interpreter = block tier = trace tier" `Quick
-      three_tier_differential;
-    Alcotest.test_case "trace tier under Machine quanta 1/7/1000" `Quick
-      machine_trace_tier_differential;
-    Alcotest.test_case "every Insn constructor: unoptimized traces = block tier" `Quick
-      three_tier_fusion_off_differential;
-    Alcotest.test_case "inline slot kill switch is invisible" `Quick
-      inline_slot_kill_is_invisible;
-    Alcotest.test_case "lazy-rip fault precision mid-trace" `Quick lazy_rip_fault_precision;
-    Alcotest.test_case "SPEC workloads: fusion on = fusion off = traces off" `Quick
-      workload_fusion_invisible;
-    QCheck_alcotest.to_alcotest prop_optimizer_invisible_under_techniques;
+    Alcotest.test_case "fault inside a block: rip names the faulting instruction" `Quick
+      fault_precision_in_block;
     Alcotest.test_case "crypt call-ret: AES rounds allocate nothing" `Quick
       crypt_rounds_allocation_free;
     Alcotest.test_case "MPK call-ret: gate crossings allocate nothing" `Quick
       mpk_gates_allocation_free;
-    Alcotest.test_case "superblock side exit: biased jcc loop" `Quick trace_side_exit_jcc;
-    Alcotest.test_case "superblock side exit: ret mispredict" `Quick trace_side_exit_indirect;
-    Alcotest.test_case "SMC flush tears down active superblock" `Quick
-      smc_invalidates_active_superblock;
-    Alcotest.test_case "flush severs chain links eagerly" `Quick eager_link_drop;
+    Alcotest.test_case "flush: stale chain links are never followed" `Quick
+      stale_links_never_followed;
+    Alcotest.test_case "SMC flush tears down active superseded block" `Quick
+      smc_flush_tears_down_active_block;
     Alcotest.test_case "translation cache invalidation" `Quick translation_invalidation;
     Alcotest.test_case "store-buffer collision evicts" `Quick store_buffer_eviction;
     Alcotest.test_case "forwarding only from resident line" `Quick
