@@ -61,11 +61,30 @@ let kind_conv =
   in
   Arg.conv (parse, print)
 
+(* [tconv] is [technique_conv], or [Arg.some technique_conv] where the
+   technique is optional. *)
+let technique_arg ?(doc = "Isolation technique (see 'list').") tconv default =
+  Arg.(value & opt tconv default & info [ "technique"; "t" ] ~docv:"TECH" ~doc)
+
+let policy_arg default =
+  Arg.(value & opt policy_conv default & info [ "policy"; "p" ] ~docv:"POLICY"
+         ~doc:"Domain-switch policy for domain-based techniques.")
+
+let kind_arg =
+  Arg.(value & opt kind_conv Instr.Reads_and_writes & info [ "kind"; "k" ] ~docv:"KIND"
+         ~doc:"Access kind for address-based techniques (r/w/rw).")
+
 let bench_arg idx =
   Arg.(
     required
     & pos idx (some string) None
     & info [] ~docv:"BENCHMARK" ~doc:"Workload name, e.g. mcf or 403.gcc.")
+
+let find_bench name =
+  try Workloads.Spec2006.find name
+  with Not_found ->
+    Printf.eprintf "unknown benchmark %S (try 'list')\n" name;
+    exit 1
 
 let iterations_arg =
   Arg.(value & opt int 40 & info [ "iterations"; "n" ] ~docv:"N" ~doc:"Workload loop iterations.")
@@ -90,12 +109,6 @@ let read_file file =
   s
 
 (* --- report --- *)
-
-let find_bench name =
-  try Workloads.Spec2006.find name
-  with Not_found ->
-    Printf.eprintf "unknown benchmark %S (try 'list')\n" name;
-    exit 1
 
 let report_cmd =
   let fastpath_report bench technique policy kind iterations top json_out flame_out
@@ -201,18 +214,6 @@ let report_cmd =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCHMARK"
            ~doc:"Workload to profile on the fast path; omit for the survey tables.")
   in
-  let technique =
-    Arg.(value & opt technique_conv (Technique.Mpk Mpk.Pkey.No_access)
-         & info [ "technique"; "t" ] ~docv:"TECH" ~doc:"Isolation technique (see 'list').")
-  in
-  let policy =
-    Arg.(value & opt policy_conv Instr.At_call_ret & info [ "policy"; "p" ] ~docv:"POLICY"
-           ~doc:"Domain-switch policy for domain-based techniques.")
-  in
-  let kind =
-    Arg.(value & opt kind_conv Instr.Reads_and_writes & info [ "kind"; "k" ] ~docv:"KIND"
-           ~doc:"Access kind for address-based techniques (r/w/rw).")
-  in
   let top =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"Rows in the hot block/edge tables.")
   in
@@ -239,8 +240,10 @@ let report_cmd =
          "Print the survey tables (paper Tables 1-3); with a BENCHMARK, run it on the \
           fast path and print the always-on counter report (CPI stack per gate site, hot \
           blocks, hot edges) with optional flamegraph/speedscope/JSON export")
-    Term.(const run $ bench $ technique $ policy $ kind $ iterations_arg $ vcpus $ top
-          $ json_out $ flame_out $ speedscope_out)
+    Term.(const run $ bench
+          $ technique_arg technique_conv (Technique.Mpk Mpk.Pkey.No_access)
+          $ policy_arg Instr.At_call_ret $ kind_arg $ iterations_arg $ vcpus $ top $ json_out
+          $ flame_out $ speedscope_out)
 
 (* --- perf-diff --- *)
 
@@ -301,10 +304,7 @@ let perf_diff_cmd =
 
 let inspect_cmd =
   let run bench iterations =
-    let prof = try Workloads.Spec2006.find bench with Not_found ->
-      Printf.eprintf "unknown benchmark %S (try 'list')\n" bench;
-      exit 1
-    in
+    let prof = find_bench bench in
     let m = Workloads.Synth.generate ~iterations prof in
     let lowered = Ir.Lower.lower m in
     let n_items = List.length lowered.Ir.Lower.mitems in
@@ -327,10 +327,7 @@ let inspect_cmd =
 
 let run_cmd =
   let run bench technique policy kind iterations stats =
-    let prof = try Workloads.Spec2006.find bench with Not_found ->
-      Printf.eprintf "unknown benchmark %S (try 'list')\n" bench;
-      exit 1
-    in
+    let prof = find_bench bench in
     let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
     let base = Workloads.Runner.run_baseline ~iterations prof in
     let inst = Workloads.Runner.run_with ~iterations prof cfg in
@@ -354,20 +351,9 @@ let run_cmd =
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print the machine-level performance summary.")
   in
-  let technique =
-    Arg.(value & opt technique_conv Technique.Mpx & info [ "technique"; "t" ] ~docv:"TECH"
-           ~doc:"Isolation technique (see 'list').")
-  in
-  let policy =
-    Arg.(value & opt policy_conv Instr.At_call_ret & info [ "policy"; "p" ] ~docv:"POLICY"
-           ~doc:"Domain-switch policy for domain-based techniques.")
-  in
-  let kind =
-    Arg.(value & opt kind_conv Instr.Reads_and_writes & info [ "kind"; "k" ] ~docv:"KIND"
-           ~doc:"Access kind for address-based techniques (r/w/rw).")
-  in
   Cmd.v (Cmd.info "run" ~doc:"Measure one workload under one technique")
-    Term.(const run $ bench_arg 0 $ technique $ policy $ kind $ iterations_arg $ stats)
+    Term.(const run $ bench_arg 0 $ technique_arg technique_conv Technique.Mpx
+          $ policy_arg Instr.At_call_ret $ kind_arg $ iterations_arg $ stats)
 
 (* --- profile --- *)
 
@@ -381,10 +367,7 @@ let profile_cmd =
         Printf.eprintf "profile: name a workload (positional or --workload)\n";
         exit 1
     in
-    let prof = try Workloads.Spec2006.find name with Not_found ->
-      Printf.eprintf "unknown benchmark %S (try 'list')\n" name;
-      exit 1
-    in
+    let prof = find_bench name in
     let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
     let base = Workloads.Runner.run_baseline ~iterations prof in
     (* The profiler's hooks force the CPU off its translated fast loop
@@ -453,18 +436,6 @@ let profile_cmd =
     Arg.(value & opt (some string) None & info [ "workload"; "w" ] ~docv:"BENCHMARK"
            ~doc:"Workload name (alternative to the positional argument).")
   in
-  let technique =
-    Arg.(value & opt technique_conv (Technique.Mpk Mpk.Pkey.No_access)
-         & info [ "technique"; "t" ] ~docv:"TECH" ~doc:"Isolation technique (see 'list').")
-  in
-  let policy =
-    Arg.(value & opt policy_conv Instr.At_call_ret & info [ "policy"; "p" ] ~docv:"POLICY"
-           ~doc:"Domain-switch policy for domain-based techniques.")
-  in
-  let kind =
-    Arg.(value & opt kind_conv Instr.Reads_and_writes & info [ "kind"; "k" ] ~docv:"KIND"
-           ~doc:"Access kind for address-based techniques (r/w/rw).")
-  in
   let json_out =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Write the full profile as JSON ('-' for stdout).")
@@ -478,60 +449,43 @@ let profile_cmd =
        ~doc:
          "Run one workload under one technique with the gate-site profiler attached and print \
           the per-site attribution table (crossings, checks, cycles, misses)")
-    Term.(const run $ bench $ workload $ technique $ policy $ kind $ iterations_arg $ json_out
-          $ trace_out)
+    Term.(const run $ bench $ workload
+          $ technique_arg technique_conv (Technique.Mpk Mpk.Pkey.No_access)
+          $ policy_arg Instr.At_call_ret $ kind_arg $ iterations_arg $ json_out $ trace_out)
 
 (* --- disasm --- *)
 
 let disasm_cmd =
   let run bench technique kind lines =
-    let prof = try Workloads.Spec2006.find bench with Not_found ->
-      Printf.eprintf "unknown benchmark %S (try 'list')\n" bench;
-      exit 1
-    in
+    let prof = find_bench bench in
     let lowered = Workloads.Synth.lowered ~iterations:2 prof in
-    let items =
+    let text =
       match technique with
-      | None -> Memsentry.Instr.strip lowered.Ir.Lower.mitems
+      | None -> X86sim.Asm.print_items (Instr.strip lowered.Ir.Lower.mitems)
       | Some t ->
-        let cfg = Framework.config ~address_kind:kind t in
-        let p = Framework.prepare cfg lowered in
-        ignore p.Framework.program;
-        (* Re-derive the item list for printing (prepare assembled it). *)
-        (match t with
-        | Technique.Sfi -> Instr.address_based ~check:Instr_sfi.check ~kind lowered.Ir.Lower.mitems
-        | Technique.Mpx -> Instr.address_based ~check:Instr_mpx.check ~kind lowered.Ir.Lower.mitems
-        | _ ->
-          Printf.eprintf "disasm supports address-based techniques (sfi/mpx) or none\n";
-          exit 1)
+        let p = Framework.prepare (Framework.config ~address_kind:kind t) lowered in
+        X86sim.Asm.print_program p.Framework.program
     in
-    let text = X86sim.Asm.print_items items in
     let all = String.split_on_char '\n' text in
     List.iteri (fun i l -> if i < lines then print_endline l) all;
     if List.length all > lines then Printf.printf "... (%d more lines)\n" (List.length all - lines)
   in
   let technique =
-    Arg.(value & opt (some technique_conv) None & info [ "technique"; "t" ] ~docv:"TECH"
-           ~doc:"Instrument before disassembling (sfi or mpx); omit for the plain lowering.")
-  in
-  let kind =
-    Arg.(value & opt kind_conv Instr.Reads_and_writes & info [ "kind"; "k" ] ~docv:"KIND"
-           ~doc:"Access kind for the instrumentation (r/w/rw).")
+    technique_arg ~doc:"Instrument with this technique before disassembling; omit for the plain \
+                        lowering."
+      (Arg.some technique_conv) None
   in
   let lines =
     Arg.(value & opt int 60 & info [ "lines" ] ~docv:"N" ~doc:"How many lines to print.")
   in
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble a workload, optionally after instrumentation")
-    Term.(const run $ bench_arg 0 $ technique $ kind $ lines)
+    Term.(const run $ bench_arg 0 $ technique $ kind_arg $ lines)
 
 (* --- trace --- *)
 
 let trace_cmd =
   let run bench last kind_filter =
-    let prof = try Workloads.Spec2006.find bench with Not_found ->
-      Printf.eprintf "unknown benchmark %S (try 'list')\n" bench;
-      exit 1
-    in
+    let prof = find_bench bench in
     let lowered = Workloads.Synth.lowered ~iterations:2 prof in
     let p = Framework.prepare_baseline lowered in
     let filter =
@@ -587,10 +541,7 @@ let verify_cmd =
             Printf.eprintf "verify: name a benchmark or pass --asm FILE\n";
             exit 1
         in
-        let prof = try Workloads.Spec2006.find bench with Not_found ->
-          Printf.eprintf "unknown benchmark %S (try 'list')\n" bench;
-          exit 1
-        in
+        let prof = find_bench bench in
         let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
         let lowered = Workloads.Synth.lowered ~iterations prof in
         let p = Framework.prepare cfg lowered in
@@ -617,16 +568,8 @@ let verify_cmd =
            ~doc:"Verify this assembly file as-is instead of instrumenting a workload.")
   in
   let technique =
-    Arg.(value & opt technique_conv Technique.Mpx & info [ "technique"; "t" ] ~docv:"TECH"
-           ~doc:"Isolation technique to instrument with and verify against.")
-  in
-  let policy =
-    Arg.(value & opt policy_conv Instr.At_safe_accesses & info [ "policy"; "p" ] ~docv:"POLICY"
-           ~doc:"Domain-switch policy for domain-based techniques.")
-  in
-  let kind =
-    Arg.(value & opt kind_conv Instr.Reads_and_writes & info [ "kind"; "k" ] ~docv:"KIND"
-           ~doc:"Access kind for address-based techniques (r/w/rw).")
+    technique_arg ~doc:"Isolation technique to instrument with and verify against."
+      technique_conv Technique.Mpx
   in
   let lints =
     Arg.(value & flag & info [ "lints" ] ~doc:"Also print non-fatal lint findings.")
@@ -636,7 +579,8 @@ let verify_cmd =
        ~doc:
          "Statically verify a workload's instrumented output (NaCl-style for address-based \
           techniques, ERIM-style gate integrity for domain-based ones); exit 1 on violations")
-    Term.(const run $ bench $ asm $ technique $ policy $ kind $ iterations_arg $ lints)
+    Term.(const run $ bench $ asm $ technique $ policy_arg Instr.At_safe_accesses $ kind_arg
+          $ iterations_arg $ lints)
 
 (* --- optimize --- *)
 
@@ -746,18 +690,6 @@ let optimize_cmd =
     Arg.(value & opt (some string) None & info [ "asm" ] ~docv:"FILE"
            ~doc:"Instrument and optimize this assembly file (address-based techniques).")
   in
-  let technique =
-    Arg.(value & opt technique_conv Technique.Sfi & info [ "technique"; "t" ] ~docv:"TECH"
-           ~doc:"Isolation technique (see 'list').")
-  in
-  let policy =
-    Arg.(value & opt policy_conv Instr.At_safe_accesses & info [ "policy"; "p" ] ~docv:"POLICY"
-           ~doc:"Domain-switch policy for domain-based techniques.")
-  in
-  let kind =
-    Arg.(value & opt kind_conv Instr.Reads_and_writes & info [ "kind"; "k" ] ~docv:"KIND"
-           ~doc:"Access kind for address-based techniques (r/w/rw).")
-  in
   let check =
     Arg.(value & flag & info [ "check" ]
            ~doc:"Exit non-zero if the optimized output has any verification violation or the \
@@ -773,7 +705,8 @@ let optimize_cmd =
          "Run the check-motion optimizer (dataflow-proven elimination, loop hoisting, gate \
           coalescing) on instrumented output, re-verify it, and cross-validate the static cost \
           model against the profiler")
-    Term.(const run $ bench $ asm $ technique $ policy $ kind $ iterations_arg $ check $ stats)
+    Term.(const run $ bench $ asm $ technique_arg technique_conv Technique.Sfi
+          $ policy_arg Instr.At_safe_accesses $ kind_arg $ iterations_arg $ check $ stats)
 
 (* --- attacks --- *)
 

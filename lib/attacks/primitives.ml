@@ -26,8 +26,8 @@ let try_read t va =
     t.crashes <- t.crashes + 1;
     None
   | Some addr -> (
-    match Mmu.read64 t.cpu.Cpu.mmu ~va:addr with
-    | v, _lat -> Some v
+    match Mmu.read64_fast t.cpu.Cpu.mmu ~va:addr with
+    | v -> Some v
     | exception Fault.Fault _ ->
       t.crashes <- t.crashes + 1;
       None)
@@ -39,8 +39,8 @@ let try_write t va v =
     t.crashes <- t.crashes + 1;
     false
   | Some addr -> (
-    match Mmu.write64 t.cpu.Cpu.mmu ~va:addr v with
-    | _lat -> true
+    match Mmu.write64_fast t.cpu.Cpu.mmu ~va:addr v with
+    | () -> true
     | exception Fault.Fault _ ->
       t.crashes <- t.crashes + 1;
       false)

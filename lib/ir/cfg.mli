@@ -1,10 +1,10 @@
 (** Control-flow graphs and a generic forward-dataflow solver.
 
     The reusable analysis substrate behind program verification
-    ({!Memsentry.Gate_analysis} / {!Memsentry.Sandbox_verifier}) and a
-    foundation for flow-sensitive IR optimisation: CFG construction with
-    successors/predecessors, reverse-postorder, iterative dominators, and
-    a worklist fixpoint over a user-supplied join-semilattice.
+    ({!Memsentry.Gate_analysis}) and a foundation for flow-sensitive IR
+    optimisation: CFG construction with successors/predecessors,
+    reverse-postorder, iterative dominators, and a worklist fixpoint over
+    a user-supplied join-semilattice.
 
     Two front ends share the one graph representation: {!of_func} builds
     the CFG of an IR function (nodes are its basic blocks), and

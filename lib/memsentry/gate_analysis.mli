@@ -11,7 +11,15 @@
     nonsensitive partition: a known constant below the split, the result
     of masking with a confining constant, or a pointer that survived a
     [bndcu] against a sound bound. Every matching data access must be
-    confined (NaCl-style, paper §7).
+    confined. This is Native Client's idea (paper §7 \[56, 70\]): verify
+    the sandboxed binary instead of trusting the compiler. The recognized
+    confining patterns are:
+
+    - SFI: [mov r13, 0x3fffffffffff] followed by [and r, r13] (or the
+      immediate form [and r, mask]);
+    - MPX: [bndcu r, bnd0] under the stated [bnd0] bound;
+    - ISBoxing: [lea32 r, ...] (a 32-bit address is below any split);
+    - constants: [mov r, imm] with [0 <= imm < split].
 
     {b Domain-based} policies prove ERIM-style {e gate integrity}: the
     abstract gate state (the [pkru] value for MPK, the active EPT index
@@ -24,7 +32,16 @@
     Function bodies entered only through [call] (direct targets and
     address-taken labels) are verified under a havocked register state
     with a closed gate — the assume/guarantee counterpart of checking
-    closure at every transfer. *)
+    closure at every transfer.
+
+    Stack traffic (rsp-relative with a displacement up to
+    {!max_stack_disp}, push/pop/call/ret) is accepted under every policy,
+    matching the paper's observation that spills need no instrumentation.
+
+    For a program instrumented with no [safe] annotations the violation
+    list is empty; a defense's own safe-region accesses are reported —
+    which is the point: the checker shrinks the trusted computing base to
+    an audit of exactly those locations. *)
 
 open X86sim
 

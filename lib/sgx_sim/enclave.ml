@@ -45,17 +45,21 @@ let register_ecall t ~name f =
     raise (Enclave_violation "cannot add entry points to a finalized, running enclave");
   Hashtbl.replace t.ecalls name f
 
+(* One enclave entry or exit: half the round-trip cost, serializing. *)
+let transition cpu =
+  let nr = Reg.pipe_none in
+  Pipeline.issue_gate cpu.Cpu.pipe ~s1:nr ~s2:nr ~d1:nr ~lat:(transition_cost /. 2.0) ~busy:1.0
+    ~serialize:true ~port:Pipeline.p_special
+
 let ecall t cpu ~name ~arg =
   if not t.alive then raise (Enclave_violation "enclave destroyed");
   t.called <- true;
   match Hashtbl.find_opt t.ecalls name with
   | None -> raise (Enclave_violation (Printf.sprintf "no such ECALL: %s" name))
   | Some f ->
-    Pipeline.issue cpu.Cpu.pipe ~serialize:true ~lat:(transition_cost /. 2.0)
-      ~port:Pipeline.p_special ();
+    transition cpu;
     let result = f t.memory arg in
-    Pipeline.issue cpu.Cpu.pipe ~serialize:true ~lat:(transition_cost /. 2.0)
-      ~port:Pipeline.p_special ();
+    transition cpu;
     result
 
 let destroy t =

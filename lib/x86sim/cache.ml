@@ -182,12 +182,3 @@ let dram_accesses t = t.shared.dram
 let l1_evictions t = t.l1.evictions
 let l2_evictions t = t.l2.evictions
 let l3_evictions t = t.shared.l3.evictions
-
-let reset_stats t =
-  t.l1.hits <- 0;
-  t.l2.hits <- 0;
-  t.shared.l3.hits <- 0;
-  t.shared.dram <- 0;
-  t.l1.evictions <- 0;
-  t.l2.evictions <- 0;
-  t.shared.l3.evictions <- 0

@@ -68,7 +68,6 @@ val l1_evictions : t -> int
 
 val l2_evictions : t -> int
 val l3_evictions : t -> int
-val reset_stats : t -> unit
 
 val lat_l1 : int
 val lat_l2 : int

@@ -31,8 +31,9 @@ let default_quantum = 1000
 let deliver_shootdown cpu =
   if Mmu.acknowledge_shootdown cpu.Cpu.mmu then begin
     Cpu.flush_translations cpu;
-    Pipeline.issue cpu.Cpu.pipe ~serialize:true ~lat:Cpu.ipi_deliver_cost
-      ~port:Pipeline.p_special ()
+    let nr = Reg.pipe_none in
+    Pipeline.issue_gate cpu.Cpu.pipe ~s1:nr ~s2:nr ~d1:nr ~lat:Cpu.ipi_deliver_cost ~busy:1.0
+      ~serialize:true ~port:Pipeline.p_special
   end
 
 let run ?(fuel = 50_000_000) ?(quantum = default_quantum) t =

@@ -173,7 +173,7 @@ let pkey_allows t ~key ~(access : Fault.access) =
 
 (* Walk the page table (and EPT when on) for [vpn] and install the result
    into the TLB, without materializing pte/hit records: the raw encoded
-   leaf entry is decoded field-wise straight into {!Tlb.insert_fields}.
+   leaf entry is decoded field-wise straight into {!Tlb.insert}.
    One call per TLB miss. *)
 let fill t ~vpn ~(access : Fault.access) ~pt_gen ~ept_gen =
   let va = vpn lsl page_bits in
@@ -191,39 +191,34 @@ let fill t ~vpn ~(access : Fault.access) ~pt_gen ~ept_gen =
       if not perm.Ept.readable then
         Fault.raise_fault
           (Fault.Ept_violation { gpa = gfn lsl page_bits; ept_index = t.ept_index; access });
-      Tlb.insert_fields t.tlb ~vpn ~ept:t.ept_index ~pt_gen ~ept_gen ~hfn
+      Tlb.insert t.tlb ~vpn ~ept:t.ept_index ~pt_gen ~ept_gen ~hfn
         ~readable:(Pagetable.entry_readable e)
         ~writable:(Pagetable.entry_writable e && perm.Ept.writable)
         ~pkey:(Pagetable.entry_pkey e)
   end
   else
-    Tlb.insert_fields t.tlb ~vpn ~ept:t.ept_index ~pt_gen ~ept_gen ~hfn:gfn
+    Tlb.insert t.tlb ~vpn ~ept:t.ept_index ~pt_gen ~ept_gen ~hfn:gfn
       ~readable:(Pagetable.entry_readable e)
       ~writable:(Pagetable.entry_writable e)
       ~pkey:(Pagetable.entry_pkey e)
 
-let ept_gen t = if t.ept_on then Ept.generation t.shared.s_ept_list.(t.ept_index) else 0
-
 (* Allocation-free translation: the result physical address is returned
-   directly and the TLB-walk latency is left in [t.last_lat]. The hot path
-   (one call per simulated memory access) must not build the tuple/record
-   results the convenience wrappers below expose. *)
-(* [@inline always]: one inline copy per memory-access entry point (the
-   two 64-bit movers, the two 16-byte movers, and [translate]) removes a
-   call frame from every simulated memory access. The TLB probe inside is
-   itself inlined ({!Tlb.probe_info}), so the hit path runs straight-line
-   from uop to physical address. *)
+   directly and the TLB-walk latency is left in [t.last_lat], since this
+   runs once per simulated memory access. [@inline always]: one inline
+   copy per memory-access entry point (the two 64-bit movers and the two
+   16-byte movers) removes a call frame from every simulated memory
+   access. The TLB probe inside is itself inlined ({!Tlb.probe}), so the
+   hit path runs straight-line from uop to physical address. *)
 let[@inline always] translate_va t ~va ~(access : Fault.access) =
   let vpn = va lsr page_bits in
   let pt_gen = !(t.pt_gen_cell) in
-  (* [ept_gen t] open-coded: with EPT off (the common configuration) the
-     generation is the constant 0 and the call was pure per-access
-     overhead. *)
+  (* With EPT off (the common configuration) the generation is the
+     constant 0, read without a call. *)
   let ept_gen = if t.ept_on then Ept.generation t.shared.s_ept_list.(t.ept_index) else 0 in
   (* One fused call on the hit path; after a miss the freshly-filled entry
      sits in the vpn's (direct-mapped) slot, so both arms produce the
      packed entry word and no intermediate record/tuple is materialized. *)
-  let info = Tlb.probe_info t.tlb ~vpn ~ept:t.ept_index ~pt_gen ~ept_gen in
+  let info = Tlb.probe t.tlb ~vpn ~ept:t.ept_index ~pt_gen ~ept_gen in
   let info =
     if info >= 0 then begin
       t.last_tlb_miss <- false;
@@ -252,10 +247,6 @@ let[@inline always] translate_va t ~va ~(access : Fault.access) =
   | Fault.Write | Fault.Read | Fault.Exec -> ());
   ((info lsr 6) lsl page_bits) lor (va land (page_size - 1))
 
-let translate t ~va ~access =
-  let pa = translate_va t ~va ~access in
-  (pa, t.last_lat)
-
 let read64_fast t ~va =
   let pa = translate_va t ~va ~access:Fault.Read in
   t.last_lat <- t.last_lat + Cache.access t.cache ~addr:pa;
@@ -266,21 +257,13 @@ let write64_fast t ~va v =
   t.last_lat <- t.last_lat + Cache.access t.cache ~addr:pa;
   Physmem.write64_trusted t.phys ~frame:(pa lsr page_bits) ~off:(pa land (page_size - 1)) v
 
-let read64 t ~va =
-  let v = read64_fast t ~va in
-  (v, t.last_lat)
-
-let write64 t ~va v =
-  write64_fast t ~va v;
-  t.last_lat
-
 let check_block16 va =
   if va land 15 <> 0 then
     Fault.raise_fault (Fault.Gp_fault (Printf.sprintf "unaligned 16-byte access at 0x%x" va))
 
 (* 16-byte accesses are alignment-checked, so they never cross a page:
-   one translation covers the whole block, and the blit-through variants
-   below move it without allocating an intermediate buffer. *)
+   one translation covers the whole block, which is blitted between the
+   frame and the caller's buffer without an intermediate one. *)
 let read_block16_into t ~va ~dst ~dpos =
   check_block16 va;
   let pa = translate_va t ~va ~access:Fault.Read in
@@ -294,21 +277,6 @@ let write_block16_from t ~va ~src ~spos =
   t.last_lat <- t.last_lat + Cache.access t.cache ~addr:pa;
   Physmem.write_block16_from t.phys ~frame:(pa lsr page_bits) ~off:(pa land (page_size - 1)) ~src
     ~spos
-
-let read_block16_fast t ~va =
-  let b = Bytes.create 16 in
-  read_block16_into t ~va ~dst:b ~dpos:0;
-  b
-
-let write_block16_fast t ~va b = write_block16_from t ~va ~src:b ~spos:0
-
-let read_block16 t ~va =
-  let b = read_block16_fast t ~va in
-  (b, t.last_lat)
-
-let write_block16 t ~va b =
-  write_block16_fast t ~va b;
-  t.last_lat
 
 (* Raw access path: page-table only, no pkey/EPT/permission checks, no cost.
    Models kernel access and pre-established attacker read/write primitives. *)

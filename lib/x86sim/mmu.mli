@@ -19,8 +19,9 @@
     degenerate one-core machine; {!create_shared} + {!attach} build an SMP
     one.
 
-    All access functions return the access latency in cycles alongside any
-    value, so the CPU can feed the pipeline model. *)
+    There is one checked accessor per operation, and none allocates: each
+    returns its value (if any) and leaves the access latency in cycles in
+    [last_lat], where the CPU reads it to feed the pipeline model. *)
 
 type shared
 (** The machine-wide memory system every attached core shares. *)
@@ -42,14 +43,14 @@ type t = {
       (** Last shootdown generation this core acknowledged; lagging the
           shared generation means an IPI is pending delivery. *)
   mutable last_tlb_miss : bool;
-      (** Whether the most recent {!translate} missed the TLB and walked the
+      (** Whether the most recent {!translate_va} missed the TLB and walked the
           tables. Read by the CPU right after an access to emit telemetry
           events. *)
   mutable last_lat : int;
-      (** Latency in cycles of the most recent access (TLB walk plus cache,
-          for the [*_fast] accessors). Scratch result field: the CPU's
-          per-instruction path reads it instead of receiving a freshly
-          allocated tuple. *)
+      (** Latency in cycles of the most recent access: the TLB walk after
+          {!translate_va}, walk plus cache after the word and block
+          accessors. Scratch result field: the CPU's per-instruction path
+          reads it instead of receiving a freshly allocated tuple. *)
   mutable walk_cycles : int;
       (** Cumulative page-table-walk latency charged by TLB misses so far —
           the TLB-walk slice of the CPI stack, cross-checkable against
@@ -132,47 +133,26 @@ val shootdown_count : t -> int
 
 (** {2 Translation and access} *)
 
-val translate : t -> va:int -> access:Fault.access -> int * int
-(** [(pa, latency)] or a fault. The latency covers TLB miss cost only;
-    cache latency is added by the word accessors. *)
-
 val translate_va : t -> va:int -> access:Fault.access -> int
-(** Allocation-free {!translate}: returns the physical address and leaves
-    the walk latency in [last_lat]. *)
-
-val read64 : t -> va:int -> int * int
-(** [(value, latency)]. *)
-
-val write64 : t -> va:int -> int -> int
-(** Returns latency. *)
+(** The physical address of [va], or a fault. The TLB-walk latency is
+    left in [last_lat]; cache latency is added by the word and block
+    accessors. *)
 
 val read64_fast : t -> va:int -> int
-(** {!read64} without the result tuple: the value is returned, the total
-    latency (walk + cache) is left in [last_lat]. The simulator hot loop
-    uses these; the tuple-returning forms are wrappers for everyone else. *)
+(** 64-bit read: the value is returned, the total latency (walk + cache)
+    is left in [last_lat]. *)
 
 val write64_fast : t -> va:int -> int -> unit
-(** {!write64} with the latency left in [last_lat]. *)
-
-val read_block16 : t -> va:int -> Bytes.t * int
-(** 16-byte read; must not cross a page boundary (GP fault otherwise,
-    matching movdqa's 16-byte alignment requirement). *)
-
-val write_block16 : t -> va:int -> Bytes.t -> int
+(** 64-bit write, latency left in [last_lat]. *)
 
 val read_block16_into : t -> va:int -> dst:Bytes.t -> dpos:int -> unit
-(** Allocation-free {!read_block16_fast}: blit the block straight into
-    [dst] at [dpos]; latency left in [last_lat]. *)
+(** 16-byte read (xmm load), blitted straight into [dst] at [dpos];
+    latency left in [last_lat]. [va] must be 16-byte aligned (GP fault
+    otherwise, matching movdqa), so a block never crosses a page. *)
 
 val write_block16_from : t -> va:int -> src:Bytes.t -> spos:int -> unit
-(** Allocation-free {!write_block16_fast}: blit the block straight from
-    [src] at [spos]; latency left in [last_lat]. *)
-
-val read_block16_fast : t -> va:int -> Bytes.t
-(** {!read_block16} with the latency left in [last_lat]. *)
-
-val write_block16_fast : t -> va:int -> Bytes.t -> unit
-(** {!write_block16} with the latency left in [last_lat]. *)
+(** 16-byte write (xmm store) blitted straight from [src] at [spos];
+    alignment and latency as {!read_block16_into}. *)
 
 (** {2 Raw access (no permission checks, no timing)}
 

@@ -67,15 +67,8 @@ let[@inline always] write64_trusted t ~frame ~off v =
 let read8 t ~frame ~off = Bytes.get_uint8 (frame_bytes t frame) off
 let write8 t ~frame ~off v = Bytes.set_uint8 (frame_bytes t frame) off v
 
-let read_block16 t ~frame ~off = Bytes.sub (frame_bytes t frame) off 16
-
-(* Blit-through variants: move a 16-byte block between frame memory and a
-   caller-owned buffer without materializing an intermediate [Bytes.t] —
-   the vector-register file is such a buffer, so xmm loads/stores stay
-   allocation-free. *)
+(* 16-byte blocks move between frame memory and a caller-owned buffer
+   without an intermediate [Bytes.t] — the vector-register file is such a
+   buffer, so xmm loads/stores stay allocation-free. *)
 let read_block16_into t ~frame ~off ~dst ~dpos = Bytes.blit (frame_bytes t frame) off dst dpos 16
 let write_block16_from t ~frame ~off ~src ~spos = Bytes.blit src spos (frame_bytes t frame) off 16
-
-let write_block16 t ~frame ~off b =
-  if Bytes.length b <> 16 then invalid_arg "Physmem.write_block16: need 16 bytes";
-  Bytes.blit b 0 (frame_bytes t frame) off 16

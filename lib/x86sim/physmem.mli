@@ -23,12 +23,11 @@ val frame_count : t -> int
 
 val max_frames : t -> int
 
-val frame_bytes : t -> int -> Bytes.t
-(** Raw backing store of a frame (for block operations such as the crypt
-    technique's in-place encryption). Raises [Invalid_argument] for an
-    unallocated frame. *)
-
 val read64 : t -> frame:int -> off:int -> int
+(** Raises [Invalid_argument] for an unallocated frame or an offset past
+    the frame's end. So do the other accessors here, except that the
+    [_trusted] pair skips the frame check. *)
+
 val write64 : t -> frame:int -> off:int -> int -> unit
 
 val read64_trusted : t -> frame:int -> off:int -> int
@@ -42,13 +41,9 @@ val write64_trusted : t -> frame:int -> off:int -> int -> unit
 val read8 : t -> frame:int -> off:int -> int
 val write8 : t -> frame:int -> off:int -> int -> unit
 
-val read_block16 : t -> frame:int -> off:int -> Bytes.t
-(** 16-byte read (xmm load); [off] must be within the frame. *)
-
 val read_block16_into : t -> frame:int -> off:int -> dst:Bytes.t -> dpos:int -> unit
-(** Blit a 16-byte block into [dst] at [dpos] — no intermediate buffer. *)
+(** 16-byte read (xmm load), blitted into [dst] at [dpos] — no
+    intermediate buffer. *)
 
 val write_block16_from : t -> frame:int -> off:int -> src:Bytes.t -> spos:int -> unit
-(** Blit a 16-byte block from [src] at [spos] — no intermediate buffer. *)
-
-val write_block16 : t -> frame:int -> off:int -> Bytes.t -> unit
+(** 16-byte write (xmm store), blitted from [src] at [spos]. *)

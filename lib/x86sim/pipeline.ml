@@ -180,8 +180,7 @@ let[@inline] b2i (b : bool) = if b then 1 else 0
 (* The one scoreboard update. Reads dep/lat/busy from the io slots, leaves
    the completion time in [clk.(io_comp)], and re-arms [io_dep] to 0 so
    only consumers with a real memory dependency pay a store to set it.
-   Shared by the fast path and the labeled wrappers so the two can never
-   drift numerically. *)
+   Shared by every issue form so they can never drift numerically. *)
 (* Register/port/slot indices are validated at construction time (pack
    asserts its ranges; ports are module constants; the rob slot is
    maintained in [0, rob_size)), so the accesses below are unchecked:
@@ -342,8 +341,8 @@ let issue_packed_static t ~meta =
     ~serialize:false ~port ~dep:0.0 ~lat:(float_of_int (meta lsr meta_lat_shift))
     ~busy:(Array.unsafe_get recip_throughput port)
 
-(* The labeled and gate forms: floats go through the io slots, so a
-   caller passing constant latencies allocates nothing. The pending
+(* The gate form: floats go through the io slots, so a caller passing
+   constant latencies allocates nothing. The pending
    [io_dep] floor is consumed as in [issue_fast] (only a load's issue ever
    leaves one). *)
 let issue_gate t ~s1 ~s2 ~d1 ~lat ~busy ~serialize ~port =
@@ -351,16 +350,6 @@ let issue_gate t ~s1 ~s2 ~d1 ~lat ~busy ~serialize ~port =
   clk.(io_lat) <- lat;
   clk.(io_busy) <- busy;
   issue_core t ~s1 ~s2 ~s3:(-1) ~d1 ~d2:(-1) ~serialize ~port
-
-let issue_t t ?(s1 = -1) ?(s2 = -1) ?(d1 = -1) ?(dep = 0.0) ?(lat = 1.0) ?busy
-    ?(serialize = false) ~port () =
-  t.clk.(io_dep) <- dep;
-  let busy = match busy with Some b -> b | None -> recip_throughput.(port) in
-  issue_gate t ~s1 ~s2 ~d1 ~lat ~busy ~serialize ~port;
-  t.clk.(io_comp)
-
-let issue t ?s1 ?s2 ?d1 ?dep ?lat ?busy ?serialize ~port () =
-  ignore (issue_t t ?s1 ?s2 ?d1 ?dep ?lat ?busy ?serialize ~port ())
 
 let cycles t = fmax t.clk.(i_fetch) t.clk.(i_maxc)
 

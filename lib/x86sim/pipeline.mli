@@ -35,63 +35,31 @@ val create : unit -> t
 
 val reset : t -> unit
 
-val issue_t :
-  t ->
-  ?s1:int ->
-  ?s2:int ->
-  ?d1:int ->
-  ?dep:float ->
-  ?lat:float ->
-  ?busy:float ->
-  ?serialize:bool ->
-  port:int ->
-  unit ->
-  float
-(** Record one executed instruction: source registers [s1], [s2],
-    destination register [d1], result latency [lat] (default 1.0) on
-    [port]. [serialize] makes it wait for all prior completions and stalls
-    subsequent fetch until it completes. [dep] is an extra time floor used
-    for non-register dependencies (store-to-load ordering through memory).
-    [busy] overrides the port's default occupancy for microcoded
-    instructions. Returns the completion time — what a dependent consumer
-    would use as its [dep]. A wrapper over {!issue_gate}. *)
-
-val issue :
-  t ->
-  ?s1:int ->
-  ?s2:int ->
-  ?d1:int ->
-  ?dep:float ->
-  ?lat:float ->
-  ?busy:float ->
-  ?serialize:bool ->
-  port:int ->
-  unit ->
-  unit
-(** {!issue_t} with the completion time discarded. *)
-
 val issue_gate :
   t -> s1:int -> s2:int -> d1:int -> lat:float -> busy:float -> serialize:bool -> port:int -> unit
-(** {!issue_t} with every argument mandatory (pass [Reg.pipe_none] for an
-    absent register; [busy] 1.0 is every port's default occupancy) and no
-    return value: the form for gate crossings and other serializing or
-    microcoded instructions on the simulation fast path. It builds no
-    [Some] box and no float box per call when [lat]/[busy] are constants.
-    Like {!issue_fast}, it consumes a floor deposited in [io.(io_dep)]
-    and leaves the completion time in [io.(io_comp)]. *)
+(** Record one executed instruction: source registers [s1], [s2],
+    destination register [d1] (pass [Reg.pipe_none] for an absent
+    register), result latency [lat] on [port]. [serialize] makes it wait
+    for all prior completions and stalls subsequent fetch until it
+    completes. [busy] is the port occupancy: 1.0 is every port's default,
+    larger values model microcoded instructions. This is the form for
+    gate crossings and other serializing or microcoded instructions; it
+    builds no float box per call when [lat]/[busy] are constants. Like
+    {!issue_fast}, it consumes an extra time floor for non-register
+    dependencies (store-to-load ordering through memory) deposited in
+    [io.(io_dep)], and leaves the completion time — what a dependent
+    consumer would deposit as its floor — in [io.(io_comp)]. *)
 
 val issue_fast :
   t -> s1:int -> s2:int -> s3:int -> d1:int -> d2:int -> lat:int -> port:int -> unit
-(** {!issue_t} for the per-instruction hot path: every argument is a
-    mandatory immediate (pass [Reg.pipe_none] explicitly; [lat] in whole
-    cycles), so no [Some] boxes — and no float boxes — are built per call.
-    Floats cross the boundary through the {!io} scratch array instead:
-    write a store-to-load forwarding floor to [io.(io_dep)] before the
-    call (it self-resets to 0 after each issue), read the completion time
-    from [io.(io_comp)] after. Covers the non-serializing,
-    default-occupancy case — serializing or microcoded instructions use
-    {!issue_gate}. Numerically identical to {!issue_t}: both delegate
-    to one core. *)
+(** {!issue_gate} for the per-instruction hot path: a third source [s3]
+    and a second destination [d2], [lat] in whole cycles so no float box
+    is built per call, and always non-serializing with the port's default
+    occupancy — serializing or microcoded instructions use {!issue_gate}.
+    Floats cross the boundary through the {!io} scratch array: write a
+    store-to-load forwarding floor to [io.(io_dep)] before the call (it
+    self-resets to 0 after each issue), read the completion time from
+    [io.(io_comp)] after. Both delegate to one core. *)
 
 val pack : s1:int -> s2:int -> s3:int -> d1:int -> d2:int -> lat:int -> port:int -> int
 (** Pack one instruction's issue metadata (pipeline-register ids as in

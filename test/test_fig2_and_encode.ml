@@ -120,9 +120,10 @@ let prop_verifier_soundness =
           items
       in
       let prog = Program.assemble mutated in
-      match Sandbox_verifier.verify ~policy:Sandbox_verifier.Mpx_policy prog with
-      | Sandbox_verifier.Violations _ -> true (* mutation caught statically *)
-      | Sandbox_verifier.Clean ->
+      let report = Gate_analysis.analyze ~policy:Gate_analysis.Mpx_policy prog in
+      match report.Gate_analysis.violations with
+      | _ :: _ -> true (* mutation caught statically *)
+      | [] ->
         (* Nothing was deleted (or only redundant checks): the program must
            still run without ever faulting on the sensitive region. *)
         let cpu = X86sim.Cpu.create () in

@@ -35,24 +35,37 @@ let test_cache_flush () =
 
 (* --- TLB --- *)
 
+(* [Tlb.probe] returns the packed entry word on a hit:
+   hfn lsl 6 | pkey lsl 2 | readable lsl 1 | writable. *)
 let test_tlb_generation_invalidation () =
   let tlb = Tlb.create ~slots:16 () in
-  let hit = { Tlb.hfn = 7; readable = true; writable = true; pkey = 0 } in
-  Tlb.insert tlb ~vpn:3 ~ept:0 ~pt_gen:1 ~ept_gen:0 hit;
-  Alcotest.(check bool) "hits at same generation" true
-    (Tlb.probe tlb ~vpn:3 ~ept:0 ~pt_gen:1 ~ept_gen:0 <> None);
-  Alcotest.(check bool) "stale pt generation misses" true
-    (Tlb.probe tlb ~vpn:3 ~ept:0 ~pt_gen:2 ~ept_gen:0 = None);
-  Alcotest.(check bool) "different EPT tag misses" true
-    (Tlb.probe tlb ~vpn:3 ~ept:1 ~pt_gen:1 ~ept_gen:0 = None)
+  Tlb.insert tlb ~vpn:3 ~ept:0 ~pt_gen:1 ~ept_gen:0 ~hfn:7 ~readable:true ~writable:true ~pkey:0;
+  Alcotest.(check int) "hits at same generation" ((7 lsl 6) lor 0b11)
+    (Tlb.probe tlb ~vpn:3 ~ept:0 ~pt_gen:1 ~ept_gen:0);
+  Alcotest.(check int) "stale pt generation misses" (-1)
+    (Tlb.probe tlb ~vpn:3 ~ept:0 ~pt_gen:2 ~ept_gen:0);
+  Alcotest.(check int) "stale EPT generation misses" (-1)
+    (Tlb.probe tlb ~vpn:3 ~ept:0 ~pt_gen:1 ~ept_gen:1);
+  Alcotest.(check int) "different EPT tag misses" (-1)
+    (Tlb.probe tlb ~vpn:3 ~ept:1 ~pt_gen:1 ~ept_gen:0);
+  Alcotest.(check int) "hits counted" 1 (Tlb.hits tlb);
+  Alcotest.(check int) "misses counted" 3 (Tlb.misses tlb)
 
 let test_tlb_flush_page () =
   let tlb = Tlb.create ~slots:16 () in
-  let hit = { Tlb.hfn = 1; readable = true; writable = false; pkey = 2 } in
-  Tlb.insert tlb ~vpn:5 ~ept:0 ~pt_gen:0 ~ept_gen:0 hit;
+  Tlb.insert tlb ~vpn:5 ~ept:0 ~pt_gen:0 ~ept_gen:0 ~hfn:1 ~readable:true ~writable:false ~pkey:2;
+  let info = Tlb.probe tlb ~vpn:5 ~ept:0 ~pt_gen:0 ~ept_gen:0 in
+  Alcotest.(check int) "packed word of a write-protected pkey-2 entry"
+    ((1 lsl 6) lor (2 lsl 2) lor 0b10)
+    info;
+  Alcotest.(check int) "hfn field" 1 (info lsr 6);
+  Alcotest.(check int) "pkey field" 2 ((info lsr 2) land 0xF);
+  Alcotest.(check bool) "readable bit" true (info land 2 <> 0);
+  Alcotest.(check bool) "writable bit" false (info land 1 <> 0);
+  Alcotest.(check int) "slot_info agrees" info
+    (Tlb.slot_info tlb (Tlb.slot_index tlb ~vpn:5));
   Tlb.flush_page tlb ~vpn:5;
-  Alcotest.(check bool) "invlpg dropped it" true
-    (Tlb.probe tlb ~vpn:5 ~ept:0 ~pt_gen:0 ~ept_gen:0 = None)
+  Alcotest.(check int) "invlpg dropped it" (-1) (Tlb.probe tlb ~vpn:5 ~ept:0 ~pt_gen:0 ~ept_gen:0)
 
 let test_tlb_rejects_bad_geometry () =
   Alcotest.check_raises "non power of two"
@@ -123,9 +136,12 @@ let test_physmem_roundtrip () =
   Alcotest.(check int) "word round-trip" 0x1234_5678 (Physmem.read64 pm ~frame:f ~off:128);
   Physmem.write8 pm ~frame:f ~off:0 0xAB;
   Alcotest.(check int) "byte round-trip" 0xAB (Physmem.read8 pm ~frame:f ~off:0);
-  let b = Bytes.make 16 'z' in
-  Physmem.write_block16 pm ~frame:f ~off:64 b;
-  Alcotest.(check bytes) "block round-trip" b (Physmem.read_block16 pm ~frame:f ~off:64);
+  let src = Bytes.of_string "..0123456789abcdef" in
+  Physmem.write_block16_from pm ~frame:f ~off:64 ~src ~spos:2;
+  let dst = Bytes.make 20 '-' in
+  Physmem.read_block16_into pm ~frame:f ~off:64 ~dst ~dpos:3;
+  Alcotest.(check bytes)
+    "block round-trip" (Bytes.of_string "---0123456789abcdef-") dst;
   Alcotest.(check bool) "frames grow" true (Physmem.alloc_frame pm = f + 1)
 
 let test_physmem_negative_values () =
@@ -182,29 +198,39 @@ let test_physmem_rejects_bad_cap () =
 
 (* --- pipeline properties --- *)
 
+(* One instruction through the gate form, with absent registers spelled
+   [Reg.pipe_none] and the default port occupancy. *)
+let issue ?(s1 = Reg.pipe_none) ?(d1 = Reg.pipe_none) ?(lat = 1.0) ?(serialize = false) p ~port =
+  Pipeline.issue_gate p ~s1 ~s2:Reg.pipe_none ~d1 ~lat ~busy:1.0 ~serialize ~port
+
 let test_pipeline_monotone () =
   let p = Pipeline.create () in
   let before = Pipeline.cycles p in
-  Pipeline.issue p ~port:Pipeline.p_alu ();
+  issue p ~port:Pipeline.p_alu;
   Alcotest.(check bool) "cycles grow" true (Pipeline.cycles p >= before);
   Alcotest.(check int) "insn counted" 1 (Pipeline.instructions p)
 
 let test_pipeline_serialize_orders () =
   let p = Pipeline.create () in
   (* A long-latency op, then a serializing op: the latter completes after. *)
-  Pipeline.issue p ~d1:0 ~lat:100.0 ~port:Pipeline.p_load ();
-  Pipeline.issue p ~serialize:true ~lat:1.0 ~port:Pipeline.p_special ();
+  issue p ~d1:0 ~lat:100.0 ~port:Pipeline.p_load;
+  issue p ~serialize:true ~lat:1.0 ~port:Pipeline.p_special;
   Alcotest.(check bool) "serializer waits for in-flight work" true (Pipeline.cycles p >= 101.0)
 
 let test_pipeline_dep_floor () =
   let p = Pipeline.create () in
-  let t1 = Pipeline.issue_t p ~d1:0 ~lat:10.0 ~port:Pipeline.p_store () in
-  let t2 = Pipeline.issue_t p ~dep:t1 ~lat:4.0 ~port:Pipeline.p_load () in
-  Alcotest.(check bool) "store-to-load ordering respected" true (t2 >= t1 +. 4.0)
+  let io = Pipeline.io p in
+  issue p ~d1:0 ~lat:10.0 ~port:Pipeline.p_store;
+  let t1 = io.(Pipeline.io_comp) in
+  io.(Pipeline.io_dep) <- t1;
+  issue p ~lat:4.0 ~port:Pipeline.p_load;
+  let t2 = io.(Pipeline.io_comp) in
+  Alcotest.(check bool) "store-to-load ordering respected" true (t2 >= t1 +. 4.0);
+  Alcotest.check (Alcotest.float 0.0) "floor consumed by one issue" 0.0 io.(Pipeline.io_dep)
 
 let test_pipeline_reset () =
   let p = Pipeline.create () in
-  Pipeline.issue p ~d1:3 ~lat:50.0 ~port:Pipeline.p_alu ();
+  issue p ~d1:3 ~lat:50.0 ~port:Pipeline.p_alu;
   Pipeline.reset p;
   Alcotest.(check int) "instructions cleared" 0 (Pipeline.instructions p);
   Alcotest.check (Alcotest.float 0.0) "clock cleared" 0.0 (Pipeline.cycles p)
@@ -218,10 +244,10 @@ let prop_pipeline_more_work_never_faster =
         List.iter
           (fun op ->
             match op with
-            | 0 -> Pipeline.issue p ~s1:0 ~d1:0 ~port:Pipeline.p_alu ()
-            | 1 -> Pipeline.issue p ~d1:1 ~lat:4.0 ~port:Pipeline.p_load ()
-            | 2 -> Pipeline.issue p ~s1:1 ~port:Pipeline.p_store ()
-            | _ -> Pipeline.issue p ~serialize:true ~lat:5.0 ~port:Pipeline.p_special ())
+            | 0 -> issue p ~s1:0 ~d1:0 ~port:Pipeline.p_alu
+            | 1 -> issue p ~d1:1 ~lat:4.0 ~port:Pipeline.p_load
+            | 2 -> issue p ~s1:1 ~port:Pipeline.p_store
+            | _ -> issue p ~serialize:true ~lat:5.0 ~port:Pipeline.p_special)
           ops;
         Pipeline.cycles p
       in

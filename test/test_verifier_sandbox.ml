@@ -5,35 +5,39 @@
 open X86sim
 open Memsentry
 
+(* The unverified accesses of [prog] under [policy]. *)
+let violations ?kind ?bnd0_upper ~policy prog =
+  (Gate_analysis.analyze ?kind ?bnd0_upper ~policy prog).Gate_analysis.violations
+
 let workload () = Workloads.Synth.lowered ~iterations:3 (Workloads.Spec2006.find "gcc")
 
 let instrumented ~policy lowered =
   let kind = Instr.Reads_and_writes in
   match policy with
-  | Sandbox_verifier.Sfi_policy ->
+  | Gate_analysis.Sfi_policy ->
     Instr.address_based ~check:Instr_sfi.check ~kind lowered.Ir.Lower.mitems
-  | Sandbox_verifier.Mpx_policy ->
+  | Gate_analysis.Mpx_policy ->
     Instr.address_based ~check:Instr_mpx.check ~kind lowered.Ir.Lower.mitems
-  | Sandbox_verifier.Isboxing_policy -> Instr.address_based_lea32 ~kind lowered.Ir.Lower.mitems
+  | Gate_analysis.Isboxing_policy -> Instr.address_based_lea32 ~kind lowered.Ir.Lower.mitems
   | _ -> invalid_arg "address-based policies only"
 
 let test_instrumented_programs_verify () =
   List.iter
     (fun policy ->
       let prog = Program.assemble (instrumented ~policy (workload ())) in
-      match Sandbox_verifier.verify ~policy prog with
-      | Sandbox_verifier.Clean -> ()
-      | Sandbox_verifier.Violations vs ->
+      match violations ~policy prog with
+      | [] -> ()
+      | v :: _ as vs ->
         Alcotest.fail
           (Printf.sprintf "expected clean, got %d violations; first: %s" (List.length vs)
-             (List.hd vs).Sandbox_verifier.insn))
-    [ Sandbox_verifier.Sfi_policy; Sandbox_verifier.Mpx_policy; Sandbox_verifier.Isboxing_policy ]
+             v.Gate_analysis.insn))
+    [ Gate_analysis.Sfi_policy; Gate_analysis.Mpx_policy; Gate_analysis.Isboxing_policy ]
 
 let test_uninstrumented_program_rejected () =
   let lowered = workload () in
   let prog = Program.assemble (Instr.strip lowered.Ir.Lower.mitems) in
-  let r = Sandbox_verifier.verify ~policy:Sandbox_verifier.Sfi_policy prog in
-  Alcotest.(check bool) "many violations" true (Sandbox_verifier.violation_count r > 50)
+  let vs = violations ~policy:Gate_analysis.Sfi_policy prog in
+  Alcotest.(check bool) "many violations" true (List.length vs > 50)
 
 let test_tampered_instrumentation_rejected () =
   (* Drop exactly one load-bearing check from an otherwise fully
@@ -41,7 +45,7 @@ let test_tampered_instrumentation_rejected () =
      pointer the interval domain confines statically (constant-derived
      heap pointers) are genuinely redundant — removing one of those is not
      a hole — so scan for the first check whose removal matters. *)
-  let items = instrumented ~policy:Sandbox_verifier.Mpx_policy (workload ()) in
+  let items = instrumented ~policy:Gate_analysis.Mpx_policy (workload ()) in
   let n_checks =
     List.length (List.filter (function Program.I (Insn.Bndcu _) -> true | _ -> false) items)
   in
@@ -60,23 +64,20 @@ let test_tampered_instrumentation_rejected () =
   let rec find k =
     if k >= n_checks then None
     else
-      let r =
-        Sandbox_verifier.verify ~policy:Sandbox_verifier.Mpx_policy
-          (Program.assemble (drop_nth k))
-      in
-      match Sandbox_verifier.violation_count r with 0 -> find (k + 1) | c -> Some c
+      let vs = violations ~policy:Gate_analysis.Mpx_policy (Program.assemble (drop_nth k)) in
+      match List.length vs with 0 -> find (k + 1) | c -> Some c
   in
   match find 0 with
   | None -> Alcotest.fail "no load-bearing check found: every removal went unnoticed"
   | Some c -> Alcotest.(check int) "exactly the hole is reported" 1 c
 
 let test_mpx_requires_sound_bound () =
-  let prog = Program.assemble (instrumented ~policy:Sandbox_verifier.Mpx_policy (workload ())) in
+  let prog = Program.assemble (instrumented ~policy:Gate_analysis.Mpx_policy (workload ())) in
   Alcotest.(check bool) "unsound bnd0 rejected" true
     (try
        ignore
-         (Sandbox_verifier.verify ~policy:Sandbox_verifier.Mpx_policy
-            ~bnd0_upper:(Layout.sensitive_base + 4096) prog);
+         (violations ~policy:Gate_analysis.Mpx_policy ~bnd0_upper:(Layout.sensitive_base + 4096)
+            prog);
        false
      with Invalid_argument _ -> true)
 
@@ -92,14 +93,14 @@ let test_shadow_stack_audit_surface () =
     Instr.address_based ~check:Instr_sfi.check ~kind:Instr.Writes lowered.Ir.Lower.mitems
   in
   let prog = Program.assemble items in
-  match Sandbox_verifier.verify ~kind:Instr.Writes ~policy:Sandbox_verifier.Sfi_policy prog with
-  | Sandbox_verifier.Clean -> Alcotest.fail "expected the shadow accesses to be reported"
-  | Sandbox_verifier.Violations vs ->
+  match violations ~kind:Instr.Writes ~policy:Gate_analysis.Sfi_policy prog with
+  | [] -> Alcotest.fail "expected the shadow accesses to be reported"
+  | vs ->
     (* Every reported write must mention the shadow region's address or go
        through the shadow-stack pointer register (r13). *)
     List.iter
       (fun v ->
-        let s = v.Sandbox_verifier.insn in
+        let s = v.Gate_analysis.insn in
         let mentions sub =
           let n = String.length sub and ls = String.length s in
           let rec go i = i + n <= ls && (String.sub s i n = sub || go (i + 1)) in
@@ -128,8 +129,7 @@ let test_cross_block_check_covers () =
   in
   let prog = Asm.parse_program src in
   Alcotest.(check int) "dominating check covers the next block" 0
-    (Sandbox_verifier.violation_count
-       (Sandbox_verifier.verify ~policy:Sandbox_verifier.Sfi_policy prog))
+    (List.length (violations ~policy:Gate_analysis.Sfi_policy prog))
 
 let test_join_rejects_unchecked_path () =
   (* The same label reached from a second path that skips the check: the
@@ -148,8 +148,7 @@ let test_join_rejects_unchecked_path () =
   in
   let prog = Asm.parse_program src in
   Alcotest.(check int) "one unchecked path poisons the join" 1
-    (Sandbox_verifier.violation_count
-       (Sandbox_verifier.verify ~policy:Sandbox_verifier.Sfi_policy prog))
+    (List.length (violations ~policy:Gate_analysis.Sfi_policy prog))
 
 let test_check_covers_loop_body () =
   (* A mask hoisted above a loop covers the access inside it: the back
@@ -169,15 +168,13 @@ let test_check_covers_loop_body () =
   in
   let prog = Asm.parse_program src in
   Alcotest.(check int) "hoisted check covers the loop body" 0
-    (Sandbox_verifier.violation_count
-       (Sandbox_verifier.verify ~policy:Sandbox_verifier.Sfi_policy prog))
+    (List.length (violations ~policy:Gate_analysis.Sfi_policy prog))
 
 let test_constant_pointers_accepted () =
   let src = "main:\n  mov rbx, 0x10000000\n  mov rax, [rbx]\n  mov [0x2000], rax\n  hlt\n" in
   let prog = Asm.parse_program src in
   Alcotest.(check int) "constants below the split are fine" 0
-    (Sandbox_verifier.violation_count
-       (Sandbox_verifier.verify ~policy:Sandbox_verifier.Sfi_policy prog))
+    (List.length (violations ~policy:Gate_analysis.Sfi_policy prog))
 
 let suite =
   [
