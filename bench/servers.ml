@@ -20,7 +20,7 @@ let configs =
    down"; this one answers "what does a multi-worker deployment look
    like": N identical request workers on one shared-memory machine,
    deterministic round-robin. VMFUNC is absent — its hypervisor
-   virtualizes one CPU (prepare_smp rejects it). *)
+   virtualizes one CPU (Framework.prepare rejects it on more than one). *)
 let smp_configs =
   [
     ("MPX-rw", Framework.config Technique.Mpx);
@@ -42,7 +42,7 @@ let run_smp () =
             List.map
               (fun vcpus ->
                 (prof.Workloads.Profile.name, cname, vcpus,
-                 Workloads.Servers.parallel ~iterations ~vcpus prof cfg))
+                 Workloads.Runner.run_with ~iterations ~vcpus prof cfg))
               counts)
           smp_configs)
       Workloads.Servers.all
@@ -63,21 +63,18 @@ let run_smp () =
         let _, _, _, r1 =
           List.find (fun (w, c, n, _) -> w = wname && c = cname && n = 1) results
         in
-        float_of_int r1.Workloads.Runner.total_insns /. r1.Workloads.Runner.makespan
+        r1.Workloads.Runner.ipc
       in
-      let tput =
-        float_of_int r.Workloads.Runner.total_insns /. r.Workloads.Runner.makespan /. base
-      in
+      let tput = r.Workloads.Runner.ipc /. base in
       let min_util = Array.fold_left Float.min infinity r.Workloads.Runner.utilization in
       Table_fmt.add_row t
         [
           wname; cname; string_of_int vcpus;
           Printf.sprintf "%.2fx" tput;
           Printf.sprintf "%.3f" min_util;
-          string_of_int r.Workloads.Runner.switches;
+          string_of_int r.Workloads.Runner.switch_count;
           string_of_int r.Workloads.Runner.shootdowns;
-          Printf.sprintf "%.3f"
-            (float_of_int r.Workloads.Runner.total_insns /. r.Workloads.Runner.makespan);
+          Printf.sprintf "%.3f" r.Workloads.Runner.ipc;
         ])
     results;
   Printf.printf
@@ -86,7 +83,7 @@ let run_smp () =
     !Bench_common.vcpus;
   Table_fmt.print t;
   print_newline ();
-  let core_json (c : Workloads.Runner.run_result) util =
+  let core_json (c : Workloads.Runner.core_result) util =
     Json.Obj
       [
         ("cycles", Json.Float c.Workloads.Runner.cycles);
@@ -105,9 +102,9 @@ let run_smp () =
                 ("workload", Json.String wname);
                 ("config", Json.String cname);
                 ("vcpus", Json.Int vcpus);
-                ("makespan", Json.Float r.Workloads.Runner.makespan);
-                ("total_insns", Json.Int r.Workloads.Runner.total_insns);
-                ("gate_crossings", Json.Int r.Workloads.Runner.switches);
+                ("makespan", Json.Float r.Workloads.Runner.cycles);
+                ("total_insns", Json.Int r.Workloads.Runner.insns);
+                ("gate_crossings", Json.Int r.Workloads.Runner.switch_count);
                 ("shootdowns", Json.Int r.Workloads.Runner.shootdowns);
                 ( "cores",
                   Json.List

@@ -111,39 +111,67 @@ let read_file file =
 (* --- report --- *)
 
 let report_cmd =
-  let fastpath_report bench technique policy kind iterations top json_out flame_out
+  (* One machine of [vcpus] cores. With more than one, per-core CPI stacks
+     come first, then the machine rollup (Fastprof.merge: cycles/counters
+     sum, shared-tier numbers counted once); a lone core's rollup is its
+     own profile, reported with its hot blocks and edges. *)
+  let fastpath_report bench technique policy kind iterations vcpus top json_out flame_out
       speedscope_out =
     let prof = find_bench bench in
     let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
-    let p = Workloads.Runner.prepare_instrumented ~iterations prof cfg in
+    let p =
+      try Workloads.Runner.prepare_instrumented ~iterations ~vcpus prof cfg
+      with Invalid_argument msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 1
+    in
     Fastprof.install p;
     (match Framework.run p with
     | X86sim.Cpu.Halted -> ()
     | X86sim.Cpu.Out_of_fuel ->
       Printf.eprintf "%s did not terminate\n" bench;
       exit 1);
-    let fp = Fastprof.capture ~workload:prof.Workloads.Profile.name p in
-    Printf.printf
-      "%s under %s (%d iterations), engine: fast path (translated blocks, no hooks)\n"
-      prof.Workloads.Profile.name (Technique.name technique) iterations;
-    Printf.printf
-      "%.0f cycles over %d instructions; %d blocks compiled, %d cache invalidations\n\n"
-      fp.Fastprof.p_cycles fp.Fastprof.p_insns fp.Fastprof.p_compiles
-      fp.Fastprof.p_invalidations;
-    print_endline "CPI stack (cycles per attribution row and class):";
-    print_string (Report.cpi_table fp);
-    Printf.printf "\naccounted %.0f of %.0f total cycles\n" (Fastprof.total_cycles fp)
-      fp.Fastprof.p_cycles;
-    Printf.printf "\nhot blocks (top %d):\n" top;
-    print_string (Report.hot_blocks_table ~top fp);
-    Printf.printf "\nhot edges (top %d):\n" top;
-    print_string (Report.hot_edges_table ~top fp);
+    let per_core = Fastprof.capture ~workload:prof.Workloads.Profile.name p in
+    let fp = Fastprof.merge per_core in
+    if vcpus > 1 then begin
+      Printf.printf "%s under %s on %d vCPUs (%d iterations each), engine: fast path\n\n"
+        prof.Workloads.Profile.name (Technique.name technique) vcpus iterations;
+      List.iteri
+        (fun core (c : Fastprof.t) ->
+          Printf.printf "core %d: %.0f cycles over %d instructions\n" core c.Fastprof.p_cycles
+            c.Fastprof.p_insns;
+          print_string (Report.cpi_table c);
+          print_newline ())
+        per_core;
+      Printf.printf "machine total: %.0f cycles (summed) over %d instructions\n"
+        fp.Fastprof.p_cycles fp.Fastprof.p_insns;
+      print_string (Report.cpi_table fp)
+    end
+    else begin
+      Printf.printf
+        "%s under %s (%d iterations), engine: fast path (translated blocks, no hooks)\n"
+        prof.Workloads.Profile.name (Technique.name technique) iterations;
+      Printf.printf
+        "%.0f cycles over %d instructions; %d blocks compiled, %d cache invalidations\n\n"
+        fp.Fastprof.p_cycles fp.Fastprof.p_insns fp.Fastprof.p_compiles
+        fp.Fastprof.p_invalidations;
+      print_endline "CPI stack (cycles per attribution row and class):";
+      print_string (Report.cpi_table fp);
+      Printf.printf "\naccounted %.0f of %.0f total cycles\n" (Fastprof.total_cycles fp)
+        fp.Fastprof.p_cycles;
+      Printf.printf "\nhot blocks (top %d):\n" top;
+      print_string (Report.hot_blocks_table ~top fp);
+      Printf.printf "\nhot edges (top %d):\n" top;
+      print_string (Report.hot_edges_table ~top fp)
+    end;
     (match json_out with
     | None -> ()
     | Some "-" -> print_endline (Ms_util.Json.to_string ~pretty:true (Fastprof.to_json fp))
     | Some file ->
       Ms_util.Json.to_file file (Fastprof.to_json fp);
-      Printf.printf "\nprofile written to %s\n" file);
+      Printf.printf "\n%s written to %s\n"
+        (if vcpus > 1 then "machine-total profile" else "profile")
+        file);
     (match flame_out with
     | None -> ()
     | Some file ->
@@ -160,55 +188,12 @@ let report_cmd =
            ~unit:"none" (Fastprof.stacks fp));
       Printf.printf "speedscope profile written to %s\n" file
   in
-  (* N vCPUs, one shared machine: per-core CPI stacks plus the machine
-     rollup (Fastprof.merge) — cycles/counters sum, shared-tier numbers
-     counted once. *)
-  let fastpath_report_smp bench technique policy kind iterations vcpus top json_out =
-    let prof = find_bench bench in
-    let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
-    let s =
-      try Workloads.Runner.prepare_smp_instrumented ~iterations ~vcpus prof cfg
-      with Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
-    in
-    Fastprof.install_smp s;
-    (match Framework.run_smp s with
-    | X86sim.Cpu.Halted -> ()
-    | X86sim.Cpu.Out_of_fuel ->
-      Printf.eprintf "%s did not terminate\n" bench;
-      exit 1);
-    let per_core = Fastprof.capture_smp ~workload:prof.Workloads.Profile.name s in
-    let total = Fastprof.merge per_core in
-    Printf.printf
-      "%s under %s on %d vCPUs (%d iterations each), engine: fast path\n\n"
-      prof.Workloads.Profile.name (Technique.name technique) vcpus iterations;
-    List.iteri
-      (fun core fp ->
-        Printf.printf "core %d: %.0f cycles over %d instructions\n" core fp.Fastprof.p_cycles
-          fp.Fastprof.p_insns;
-        print_string (Report.cpi_table fp);
-        print_newline ())
-      per_core;
-    Printf.printf "machine total: %.0f cycles (summed) over %d instructions\n"
-      total.Fastprof.p_cycles total.Fastprof.p_insns;
-    print_string (Report.cpi_table total);
-    match json_out with
-    | None -> ()
-    | Some "-" -> print_endline (Ms_util.Json.to_string ~pretty:true (Fastprof.to_json total))
-    | Some file ->
-      Ms_util.Json.to_file file (Fastprof.to_json total);
-      Printf.printf "\nmachine-total profile written to %s\n" file
-  in
   let run bench technique policy kind iterations vcpus top json_out flame_out speedscope_out =
     match bench with
     | None -> Report.print_all ()
     | Some bench ->
-      if vcpus > 1 then
-        fastpath_report_smp bench technique policy kind iterations vcpus top json_out
-      else
-        fastpath_report bench technique policy kind iterations top json_out flame_out
-          speedscope_out
+      fastpath_report bench technique policy kind iterations vcpus top json_out flame_out
+        speedscope_out
   in
   let bench =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCHMARK"
@@ -218,7 +203,15 @@ let report_cmd =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"Rows in the hot block/edge tables.")
   in
   let vcpus =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N"
+    let positive =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "%S is not a vCPU count (need an integer >= 1)" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    Arg.(value & opt positive 1 & info [ "vcpus" ] ~docv:"N"
            ~doc:"Run N copies of the workload on an N-core shared-memory machine and print \
                  per-core CPI stacks plus the machine rollup (default 1 = single-core report).")
   in

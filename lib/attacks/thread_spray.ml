@@ -52,7 +52,7 @@ type race_result = {
    lands inside the victim's open window reads the secret. This is the
    multi-threaded argument for register-state gates (ERIM's per-thread
    PKRU observation) made measurable. *)
-let race_gate_window ?(iters = 8) ?(spin = 80) ?(probes = 400) ?(quantum = 50) ~gate ~secret () =
+let race_gate_window ?(iters = 8) ?(spin = 80) ?(probes = 400) ~gate ~secret () =
   let page = Physmem.page_size in
   let region = 0x5000_0000 in
   let buf = 0x5100_0000 in
@@ -126,7 +126,9 @@ let race_gate_window ?(iters = 8) ?(spin = 80) ?(probes = 400) ?(quantum = 50) ~
   Cpu.load_program attacker attacker_program;
   (* The attacker survives its faulting probes (crash-resistant thread). *)
   attacker.Cpu.fault_handler <- (fun _ _ -> Cpu.Fault_skip);
-  (match Machine.run ~quantum m with
+  (* 50-instruction quanta, shorter than the default 80-instruction spin,
+     land attacker slices inside the victim's open windows. *)
+  (match Machine.run ~quantum:50 m with
   | Cpu.Halted -> ()
   | Cpu.Out_of_fuel -> failwith "Thread_spray.race_gate_window: machine did not terminate");
   let hits = ref 0 and leaks = ref 0 and faults = ref 0 in

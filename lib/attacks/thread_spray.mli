@@ -41,11 +41,11 @@ val race_gate_window :
   ?iters:int ->
   ?spin:int ->
   ?probes:int ->
-  ?quantum:int ->
   gate:gate ->
   secret:int ->
   unit ->
   race_result
 (** Defaults: 8 victim open/close iterations with an 80-instruction spin
-    inside the window, 400 attacker probes, quantum 50. The machine is
-    private to the call and runs to completion deterministically. *)
+    inside the window, 400 attacker probes. The two cores interleave in
+    50-instruction quanta. The machine is private to the call and runs to
+    completion deterministically. *)

@@ -24,21 +24,19 @@ type t = {
   p_walk_cycles : int;
 }
 
-let install_on cpu (sm : Sitemap.t) =
-  let len = Program.length cpu.Cpu.program in
-  let map = Array.make len 0 in
-  for rip = 0 to len - 1 do
-    match Sitemap.classify sm rip with
-    | Some (site, _role) -> map.(rip) <- site + 1
-    | None -> ()
-  done;
-  Cpu.set_site_rows cpu map ~rows:(Sitemap.n_sites sm + 1)
-
-let install (p : Framework.prepared) = install_on p.Framework.cpu p.Framework.sitemap
-
-let install_smp (s : Framework.smp) =
-  let sm = s.Framework.prepared.Framework.sitemap in
-  Array.iter (fun cpu -> install_on cpu sm) (Machine.cpus s.Framework.machine)
+(* Every core runs the same program, so one read-only map serves all. *)
+let install (p : Framework.prepared) =
+  let sm = p.Framework.sitemap in
+  let map = Array.make (Program.length p.Framework.program) 0 in
+  Array.iteri
+    (fun rip _ ->
+      match Sitemap.classify sm rip with
+      | Some (site, _role) -> map.(rip) <- site + 1
+      | None -> ())
+    map;
+  Array.iter
+    (fun cpu -> Cpu.set_site_rows cpu map ~rows:(Sitemap.n_sites sm + 1))
+    (Machine.cpus p.Framework.machine)
 
 let row_cycles r = Array.fold_left ( +. ) 0.0 r.fp_classes
 
@@ -80,21 +78,17 @@ let capture_cpu ?workload ~technique (sm : Sitemap.t) (cpu : Cpu.t) =
   }
 
 let capture ?workload (p : Framework.prepared) =
-  capture_cpu ?workload
-    ~technique:(Technique.name p.Framework.cfg.Framework.technique)
-    p.Framework.sitemap p.Framework.cpu
-
-let capture_smp ?workload (s : Framework.smp) =
-  let p = s.Framework.prepared in
   let technique = Technique.name p.Framework.cfg.Framework.technique in
+  let cpus = Machine.cpus p.Framework.machine in
+  let workload_of i =
+    match workload with
+    | Some w when Array.length cpus > 1 -> Some (Printf.sprintf "%s/core%d" w i)
+    | w -> w
+  in
   Array.to_list
     (Array.mapi
-       (fun i cpu ->
-         let workload =
-           match workload with Some w -> Some (Printf.sprintf "%s/core%d" w i) | None -> None
-         in
-         capture_cpu ?workload ~technique p.Framework.sitemap cpu)
-       (Machine.cpus s.Framework.machine))
+       (fun i cpu -> capture_cpu ?workload:(workload_of i) ~technique p.Framework.sitemap cpu)
+       cpus)
 
 (* Merge per-core profiles into one machine-wide profile: cycles and
    counters sum (note L3 evictions are shared-tier counters aliased into
@@ -104,6 +98,7 @@ let capture_smp ?workload (s : Framework.smp) =
    rows only the later cores saw appended. *)
 let merge = function
   | [] -> invalid_arg "Fastprof.merge: empty list"
+  | [ t ] -> t
   | first :: _ as all ->
     let tbl = Hashtbl.create 64 in
     let order = ref [] in

@@ -9,6 +9,8 @@
     stall, gate instruction, or base issue. {!install} additionally maps
     each instruction to its {!Sitemap} site so the CPI stack is kept per
     gate site; without it the whole program lands in one aggregate row.
+    Both cover every vCPU of the prepared machine: {!capture} gives one
+    profile per core, and {!merge} rolls them up.
 
     The architectural state of a run is byte-identical with or without
     {!install} — the map changes only which accumulation row each cycle
@@ -41,29 +43,26 @@ type t = {
 
 val install : Framework.prepared -> unit
 (** Build the rip → site row map from the prepared sitemap and install it
-    ({!Cpu.set_site_rows}): row 0 is application code, row [id + 1] is
+    ({!Cpu.set_site_rows}) on every vCPU (all cores run the same
+    instrumented program): row 0 is application code, row [id + 1] is
     site [id]. Zeroes any prior CPI accumulation. Call before running. *)
 
-val capture : ?workload:string -> Framework.prepared -> t
-(** Snapshot every fast-path counter of the (finished) run. Works with or
-    without a prior {!install} — without one the CPI stack has only the
-    aggregate app row. *)
-
-val install_smp : Framework.smp -> unit
-(** {!install} on every vCPU of a multi-core preparation (the sitemap is
-    shared — all cores run the same instrumented program). *)
-
-val capture_smp : ?workload:string -> Framework.smp -> t list
-(** One profile per vCPU, in core order; [workload] is suffixed with
-    ["/coreN"]. Note each core's L3-eviction count aliases the shared
-    tier's counter (see {!X86sim.Cache.l3_hits}). *)
+val capture : ?workload:string -> Framework.prepared -> t list
+(** Snapshot every fast-path counter of the (finished) run: one profile
+    per vCPU, in core order. With more than one vCPU, [workload] is
+    suffixed with ["/coreN"], and each core's L3-eviction count aliases
+    the shared tier's counter (see {!X86sim.Cache.l3_hits}). Works with
+    or without a prior {!install} — without one the CPI stack has only
+    the aggregate app row. *)
 
 val merge : t list -> t
 (** Machine-wide rollup of per-core profiles: cycles/instruction counters
     sum, CPI rows merge by (label, rip) with element-wise class addition,
     block stats merge by entry. Shared-tier L3 evictions are taken once
     (from the first profile), not summed. Workload/technique labels come
-    from the first profile. Raises [Invalid_argument] on []. *)
+    from the first profile. A lone profile is returned unchanged, so
+    [merge (capture p)] is the profile of a 1-vCPU run. Raises
+    [Invalid_argument] on []. *)
 
 val total_cycles : t -> float
 (** Sum over all rows and classes — equals [p_cycles] minus only

@@ -17,6 +17,7 @@ let config ?(address_kind = Instr.Reads_and_writes) ?(switch_policy = Instr.At_s
   { technique; address_kind; switch_policy; crypt_seed; crypt_keys }
 
 type prepared = {
+  machine : Machine.t;
   cpu : Cpu.t;
   program : Program.t;
   regions : Safe_region.region list;
@@ -54,54 +55,80 @@ let map_regions cpu regions =
       Mmu.map_range cpu.Cpu.mmu ~va:r.Safe_region.va ~len:r.Safe_region.size ~writable:true)
     regions
 
-let prepare_on ?(extra_regions = []) ?(verify = false) ?(optimize = false) cpu cfg
+(* Memory-resident setup (region mapping, page-table permissions, key
+   tables, encrypted images) is machine-wide and done once, on core 0.
+   Beside its instrumented items, each technique returns the register
+   half of its setup, replayed on every sibling core: MPX bounds, the
+   closed-by-default PKRU on the key core 0's setup assigned, crypt's
+   in-ymm round keys. *)
+let instrument_core0 cpu cfg regions mitems =
+  let technique = Technique.name cfg.technique in
+  let address_based check label =
+    Instr.address_based_sites ~check ~kind:cfg.address_kind ~technique ~label mitems
+  in
+  let domain_based enter leave label =
+    Instr.domain_based_sites ~enter ~leave ~policy:cfg.switch_policy ~technique ~label mitems
+  in
+  match cfg.technique with
+  | Technique.Sfi ->
+    Instr_sfi.setup cpu;
+    (address_based Instr_sfi.check "sfi-mask", None, ignore)
+  | Technique.Mpx ->
+    Instr_mpx.setup cpu;
+    (address_based Instr_mpx.check "mpx-check", None, Instr_mpx.setup)
+  | Technique.Mpk protection ->
+    let st = Instr_mpk.setup cpu ~protection regions in
+    ( domain_based (Instr_mpk.enter st) (Instr_mpk.leave st) "wrpkru-pair",
+      None,
+      fun sibling -> Mpk.Pkey.close_default sibling ~key:(Instr_mpk.key st) ~protection )
+  | Technique.Vmfunc ->
+    let st = Instr_vmfunc.setup cpu regions in
+    ( domain_based Instr_vmfunc.enter Instr_vmfunc.leave "vmfunc-pair",
+      Some (Instr_vmfunc.hypervisor st),
+      ignore )
+  | Technique.Crypt ->
+    let key_location = cfg.crypt_keys and seed = cfg.crypt_seed in
+    let st = Instr_crypt.setup cpu ~key_location ~seed regions in
+    ( domain_based (Instr_crypt.enter st) (Instr_crypt.leave st) "aes-bracket",
+      None,
+      fun sibling -> Instr_crypt.install_keys sibling ~key_location ~seed () )
+  | Technique.Mprotect ->
+    let st = Instr_mprotect.setup cpu regions in
+    (domain_based (Instr_mprotect.enter st) (Instr_mprotect.leave st) "mprotect-pair", None, ignore)
+  | Technique.Isboxing ->
+    (* Free truncation to 4 GiB; safe regions live above the 64 TiB split,
+       far outside the reachable window. No machine setup needed. *)
+    (Instr.address_based_lea32_sites ~kind:cfg.address_kind ~technique mitems, None, ignore)
+  | Technique.Sgx ->
+    invalid_arg
+      "Framework.prepare: SGX isolation requires restructuring code into an enclave; use \
+       Sgx_sim.Enclave directly"
+
+let create_machine vcpus =
+  if vcpus < 1 then invalid_arg "Framework.prepare: need at least one vCPU";
+  Machine.create ~vcpus ()
+
+(* Every sibling runs the same program as core 0. *)
+let load_siblings machine program setup =
+  for i = 1 to Machine.vcpus machine - 1 do
+    let cpu = Machine.cpu machine i in
+    Cpu.load_program cpu program;
+    setup cpu
+  done
+
+let prepare ?(vcpus = 1) ?(extra_regions = []) ?(verify = false) ?(optimize = false) cfg
     (lowered : Ir.Lower.t) =
+  if vcpus > 1 && cfg.technique = Technique.Vmfunc then
+    invalid_arg
+      "Framework.prepare: VMFUNC runs on one vCPU only; the modeled hypervisor virtualizes a \
+       single CPU";
+  let machine = create_machine vcpus in
+  let cpu = Machine.cpu machine 0 in
   Ir.Lower.setup_memory cpu lowered;
   let regions = Safe_region.of_sensitive_globals lowered @ extra_regions in
   map_regions cpu extra_regions;
   let mitems = lowered.Ir.Lower.mitems in
-  let technique = Technique.name cfg.technique in
-  let (items, sitemap), hypervisor =
-    match cfg.technique with
-    | Technique.Sfi ->
-      Instr_sfi.setup cpu;
-      ( Instr.address_based_sites ~check:Instr_sfi.check ~kind:cfg.address_kind ~technique
-          ~label:"sfi-mask" mitems,
-        None )
-    | Technique.Mpx ->
-      Instr_mpx.setup cpu;
-      ( Instr.address_based_sites ~check:Instr_mpx.check ~kind:cfg.address_kind ~technique
-          ~label:"mpx-check" mitems,
-        None )
-    | Technique.Mpk protection ->
-      let st = Instr_mpk.setup cpu ~protection regions in
-      ( Instr.domain_based_sites ~enter:(Instr_mpk.enter st) ~leave:(Instr_mpk.leave st)
-          ~policy:cfg.switch_policy ~technique ~label:"wrpkru-pair" mitems,
-        None )
-    | Technique.Vmfunc ->
-      let st = Instr_vmfunc.setup cpu regions in
-      ( Instr.domain_based_sites ~enter:Instr_vmfunc.enter ~leave:Instr_vmfunc.leave
-          ~policy:cfg.switch_policy ~technique ~label:"vmfunc-pair" mitems,
-        Some (Instr_vmfunc.hypervisor st) )
-    | Technique.Crypt ->
-      let st = Instr_crypt.setup cpu ~key_location:cfg.crypt_keys ~seed:cfg.crypt_seed regions in
-      ( Instr.domain_based_sites ~enter:(Instr_crypt.enter st) ~leave:(Instr_crypt.leave st)
-          ~policy:cfg.switch_policy ~technique ~label:"aes-bracket" mitems,
-        None )
-    | Technique.Mprotect ->
-      let st = Instr_mprotect.setup cpu regions in
-      ( Instr.domain_based_sites ~enter:(Instr_mprotect.enter st) ~leave:(Instr_mprotect.leave st)
-          ~policy:cfg.switch_policy ~technique ~label:"mprotect-pair" mitems,
-        None )
-    | Technique.Isboxing ->
-      (* Free truncation to 4 GiB; safe regions live above the 64 TiB split,
-         far outside the reachable window. No machine setup needed. *)
-      (Instr.address_based_lea32_sites ~kind:cfg.address_kind ~technique mitems, None)
-    | Technique.Sgx ->
-      invalid_arg
-        "Framework.prepare: SGX isolation requires restructuring code into an enclave; use \
-         Sgx_sim.Enclave directly"
-  in
+  let (items, sitemap), hypervisor, sibling_setup = instrument_core0 cpu cfg regions mitems in
   let items, sitemap, opt_stats =
     if not optimize then (items, sitemap, None)
     else
@@ -127,7 +154,8 @@ let prepare_on ?(extra_regions = []) ?(verify = false) ?(optimize = false) cpu c
         (Technique.name cfg.technique) (List.length regions) (Program.length program)
         (List.length mitems));
   Cpu.load_program cpu program;
-  let p = { cpu; program; regions; hypervisor; cfg; sitemap; opt_stats } in
+  load_siblings machine program sibling_setup;
+  let p = { machine; cpu; program; regions; hypervisor; cfg; sitemap; opt_stats } in
   if verify then
     (match verify_prepared p with
     | Some { Gate_analysis.violations = _ :: _ as vs; _ } ->
@@ -139,14 +167,14 @@ let prepare_on ?(extra_regions = []) ?(verify = false) ?(optimize = false) cpu c
     | Some _ | None -> ());
   p
 
-let prepare ?extra_regions ?verify ?optimize cfg lowered =
-  prepare_on ?extra_regions ?verify ?optimize (Cpu.create ()) cfg lowered
-
-let prepare_baseline_on cpu (lowered : Ir.Lower.t) =
+let prepare_baseline (lowered : Ir.Lower.t) =
+  let machine = Machine.create () in
+  let cpu = Machine.cpu machine 0 in
   Ir.Lower.setup_memory cpu lowered;
   let program = Ir.Lower.assemble lowered in
   Cpu.load_program cpu program;
   {
+    machine;
     cpu;
     program;
     regions = Safe_region.of_sensitive_globals lowered;
@@ -156,64 +184,8 @@ let prepare_baseline_on cpu (lowered : Ir.Lower.t) =
     opt_stats = None;
   }
 
-let prepare_baseline lowered = prepare_baseline_on (Cpu.create ()) lowered
-
-let run ?fuel p = Cpu.run ?fuel p.cpu
+let run ?fuel p = Machine.run ?fuel p.machine
 
 let overhead ~baseline ~instrumented =
-  Ms_util.Stats.overhead ~baseline:(Cpu.cycles baseline.cpu)
-    ~measured:(Cpu.cycles instrumented.cpu)
-
-(* ------------------------------------------------------------------ *)
-(* Multi-vCPU preparation                                              *)
-(* ------------------------------------------------------------------ *)
-
-type smp = {
-  machine : Machine.t;
-  prepared : prepared;  (** core 0's view; [cpu] inside it is [Machine.cpu machine 0] *)
-}
-
-(* Memory-resident setup (region mapping, page-table permissions, key
-   tables, encrypted images) is shared and was done once by [prepare_on]
-   on core 0. What remains per sibling core is register state: the
-   program, MPX bounds, the closed-by-default PKRU, and crypt's in-ymm
-   round keys. *)
-let sibling_setup cfg cpu =
-  match cfg.technique with
-  | Technique.Sfi | Technique.Isboxing | Technique.Mprotect -> ()
-  | Technique.Mpx -> Instr_mpx.setup cpu
-  | Technique.Mpk protection ->
-    (* Same key as [Instr_mpk.setup]'s default assignment on core 0. *)
-    Mpk.Pkey.close_default cpu ~key:1 ~protection
-  | Technique.Crypt ->
-    Instr_crypt.install_keys cpu ~key_location:cfg.crypt_keys ~seed:cfg.crypt_seed ()
-  | Technique.Vmfunc | Technique.Sgx -> assert false (* rejected below *)
-
-let prepare_smp ?(vcpus = 1) ?extra_regions ?verify ?optimize cfg (lowered : Ir.Lower.t) =
-  if vcpus < 1 then invalid_arg "Framework.prepare_smp: need at least one vCPU";
-  (match cfg.technique with
-  | Technique.Vmfunc ->
-    invalid_arg
-      "Framework.prepare_smp: the VMFUNC hypervisor virtualizes a single CPU; multi-vCPU \
-       virtualization is future work (see ROADMAP)"
-  | Technique.Sgx -> invalid_arg "Framework.prepare_smp: SGX requires Sgx_sim.Enclave directly"
-  | _ -> ());
-  let machine = Machine.create ~vcpus () in
-  let prepared = prepare_on ?extra_regions ?verify ?optimize (Machine.cpu machine 0) cfg lowered in
-  for i = 1 to vcpus - 1 do
-    let cpu = Machine.cpu machine i in
-    Cpu.load_program cpu prepared.program;
-    sibling_setup cfg cpu
-  done;
-  { machine; prepared }
-
-let prepare_baseline_smp ?(vcpus = 1) (lowered : Ir.Lower.t) =
-  if vcpus < 1 then invalid_arg "Framework.prepare_baseline_smp: need at least one vCPU";
-  let machine = Machine.create ~vcpus () in
-  let prepared = prepare_baseline_on (Machine.cpu machine 0) lowered in
-  for i = 1 to vcpus - 1 do
-    Cpu.load_program (Machine.cpu machine i) prepared.program
-  done;
-  { machine; prepared }
-
-let run_smp ?fuel ?quantum s = Machine.run ?fuel ?quantum s.machine
+  Ms_util.Stats.overhead ~baseline:(Machine.max_cycles baseline.machine)
+    ~measured:(Machine.max_cycles instrumented.machine)

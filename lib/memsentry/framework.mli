@@ -4,10 +4,17 @@
     (safe regions — here, the module's [sensitive] globals plus any extra
     regions), the {e instrumentation points} (the IR's [safe_access]
     annotations, or a coarse switch-point policy), and the {e isolation
-    technique}. [prepare] then builds a ready-to-run machine: a CPU with
-    the technique's system state installed (keys, EPTs, bound registers,
-    encrypted regions, PROT_NONE mappings) and the instrumented program
-    loaded.
+    technique}. [prepare] then builds a ready-to-run {!Machine} (one vCPU
+    unless asked for more) with the technique's system state installed
+    (keys, EPTs, bound registers, encrypted regions, PROT_NONE mappings)
+    and the instrumented program loaded on every core.
+
+    A multi-vCPU build shares the memory-resident half of the set-up
+    (region mappings, page-table permissions, key tables, encrypted
+    images) machine-wide, and replicates the {e per-core register} half on
+    each sibling: the loaded program, MPX bounds, a closed PKRU on the key
+    core 0's set-up assigned, crypt's in-ymm round keys. Every core runs
+    the same program — N workers over shared memory.
 
     Typical use:
     {[
@@ -41,7 +48,8 @@ val config :
 (** Defaults: [Reads_and_writes], [At_safe_accesses], seed 1, [Ymm_high]. *)
 
 type prepared = {
-  cpu : Cpu.t;
+  machine : Machine.t;
+  cpu : Cpu.t;  (** Core 0 of [machine]. *)
   program : Program.t;
   regions : Safe_region.region list;
   hypervisor : Vmx.Hypervisor.t option;  (** [Vmfunc] only *)
@@ -54,15 +62,19 @@ type prepared = {
 }
 
 val prepare :
+  ?vcpus:int ->
   ?extra_regions:Safe_region.region list ->
   ?verify:bool ->
   ?optimize:bool ->
   config ->
   Ir.Lower.t ->
   prepared
-(** Safe regions = the lowered module's sensitive globals plus
-    [extra_regions] (which must already be mapped on a fresh CPU — they
-    are re-mapped here). Raises [Invalid_argument] for [Technique.Sgx].
+(** [vcpus] (default 1) is the core count of the machine built. Safe
+    regions = the lowered module's sensitive globals plus [extra_regions]
+    (which must already be mapped on a fresh CPU — they are re-mapped
+    here). Raises [Invalid_argument] for [Technique.Sgx], for [vcpus < 1],
+    and for [Technique.Vmfunc] on more than one vCPU (the hypervisor
+    virtualizes a single CPU).
 
     With [~verify:true] (default false), the instrumented program is run
     through {!Gate_analysis} before loading and [Invalid_argument] is
@@ -84,59 +96,15 @@ val verify_prepared : prepared -> Gate_analysis.report option
     program under {!policy_of_config}. [None] when the technique has no
     policy. *)
 
-val prepare_on :
-  ?extra_regions:Safe_region.region list ->
-  ?verify:bool ->
-  ?optimize:bool ->
-  Cpu.t ->
-  config ->
-  Ir.Lower.t ->
-  prepared
-(** {!prepare} onto an existing core instead of a fresh [Cpu.create ()] —
-    the building block for multi-vCPU preparation. *)
-
 val prepare_baseline : Ir.Lower.t -> prepared
-(** Uninstrumented build on an identical machine (the "1.0" of every
-    overhead figure). *)
-
-val prepare_baseline_on : Cpu.t -> Ir.Lower.t -> prepared
-(** {!prepare_baseline} onto an existing core. *)
+(** Uninstrumented build on an identical one-vCPU machine (the "1.0" of
+    every overhead figure). *)
 
 val run : ?fuel:int -> prepared -> Cpu.status
-(** Execute to completion; faults propagate as {!Fault.Fault}. *)
+(** {!Machine.run} on the prepared machine: execute to completion (every
+    core, deterministically interleaved when there are several; [fuel] is
+    per core); faults propagate as {!Fault.Fault}. *)
 
 val overhead : baseline:prepared -> instrumented:prepared -> float
-(** Cycle ratio after both have been run. *)
-
-(** {2 Multi-vCPU preparation}
-
-    [prepare_smp ~vcpus] builds an N-core {!Machine}, runs the full
-    single-core preparation on core 0 (shared memory state: region
-    mappings, page-table permissions, key tables, encrypted images are
-    machine-wide), then replicates the {e per-core register} half of the
-    technique on each sibling: the loaded program, MPX bounds, a closed
-    PKRU, crypt's in-ymm round keys. [Vmfunc] is rejected — the
-    hypervisor virtualizes one CPU (multi-vCPU virtualization is a
-    ROADMAP item) — as is [Sgx]. *)
-
-type smp = {
-  machine : Machine.t;
-  prepared : prepared;  (** Core 0's view; [prepared.cpu == Machine.cpu machine 0]. *)
-}
-
-val prepare_smp :
-  ?vcpus:int ->
-  ?extra_regions:Safe_region.region list ->
-  ?verify:bool ->
-  ?optimize:bool ->
-  config ->
-  Ir.Lower.t ->
-  smp
-(** Default [vcpus] is 1, in which case the machine is behaviorally
-    identical to {!prepare}'s. *)
-
-val prepare_baseline_smp : ?vcpus:int -> Ir.Lower.t -> smp
-
-val run_smp : ?fuel:int -> ?quantum:int -> smp -> Cpu.status
-(** {!Machine.run} on the prepared machine: deterministic round-robin
-    interleaving of all vCPUs. *)
+(** Makespan cycle ratio ({!Machine.max_cycles}) after both have been
+    run. *)

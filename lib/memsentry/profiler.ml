@@ -113,14 +113,6 @@ let attach (p : Framework.prepared) =
   t.event_hook <- Some (Cpu.add_event_hook cpu on_event);
   t
 
-(* One profiler per vCPU: each core gets its own hook set and row table
-   over the shared sitemap, attached through a per-core view of the
-   prepared record. Index i profiles core i. *)
-let attach_smp (s : Framework.smp) =
-  Array.map
-    (fun cpu -> attach { s.Framework.prepared with Framework.cpu })
-    (Machine.cpus s.Framework.machine)
-
 let stop t =
   let cpu = t.prepared.Framework.cpu in
   (match t.step_hook with

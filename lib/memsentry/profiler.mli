@@ -2,7 +2,7 @@
     a first-class subsystem.
 
     Attach to a {!Framework.prepared} machine before running it; the
-    profiler then
+    profiler watches core 0 and
 
     - counts {e crossings} (executions of a gate open/close sequence) and
       {e checks} (executions of an address-based check) per
@@ -44,16 +44,10 @@ type residual = {
 type t
 
 val attach : Framework.prepared -> t
-(** Install step and event hooks (composes with tracers and analyses).
-    Attach before {!Framework.run}; cycle accounting starts at the current
-    pipeline clock. *)
-
-val attach_smp : Framework.smp -> t array
-(** One profiler per vCPU (index = core id), each with its own hooks and
-    row table over the shared sitemap. Stop each with {!stop}. Note that
-    step hooks force every core off the translated fast loop — for
-    profiling multi-core runs without perturbation, prefer
-    {!Fastprof.install_smp}/{!Fastprof.capture_smp}. *)
+(** Install step and event hooks on core 0 (composes with tracers and
+    analyses). Attach before {!Framework.run}; cycle accounting starts at
+    the current pipeline clock. On a multi-vCPU build the siblings run
+    unprofiled; {!Fastprof} covers every core without perturbing any. *)
 
 val stop : t -> unit
 (** Remove the hooks, charge the cycle tail, and force-close open spans.

@@ -1,20 +1,52 @@
 open X86sim
 open Memsentry
 
-type run_result = { cycles : float; insns : int; ipc : float; switch_count : int }
+type core_result = { cycles : float; insns : int; ipc : float; switch_count : int }
 
-let result_of_cpu (cpu : Cpu.t) =
+type run_result = {
+  cycles : float;
+  insns : int;
+  ipc : float;
+  switch_count : int;
+  per_core : core_result array;
+  utilization : float array;
+  shootdowns : int;
+}
+
+let ipc_of insns cycles = if cycles > 0.0 then float_of_int insns /. cycles else 0.0
+
+let core_result (cpu : Cpu.t) : core_result =
   let c = cpu.Cpu.counters in
   {
     cycles = Cpu.cycles cpu;
     insns = c.Cpu.insns;
-    ipc = (if Cpu.cycles cpu > 0.0 then float_of_int c.Cpu.insns /. Cpu.cycles cpu else 0.0);
+    ipc = ipc_of c.Cpu.insns (Cpu.cycles cpu);
     switch_count = c.Cpu.wrpkrus + c.Cpu.vmfuncs;
+  }
+
+(* The machine's figures: the makespan (slowest core, the wall-clock
+   analogue), instructions and gate crossings summed over cores, and
+   TLB-shootdown broadcasts machine-wide. On one vCPU these are that
+   core's own numbers. *)
+let result_of_machine m =
+  let per_core = Array.map core_result (Machine.cpus m) in
+  let cycles = Machine.max_cycles m and insns = Machine.total_insns m in
+  {
+    cycles;
+    insns;
+    ipc = ipc_of insns cycles;
+    switch_count = Array.fold_left (fun a (c : core_result) -> a + c.switch_count) 0 per_core;
+    per_core;
+    utilization =
+      Array.map
+        (fun (c : core_result) -> if cycles > 0.0 then c.cycles /. cycles else 1.0)
+        per_core;
+    shootdowns = Mmu.shootdown_count (Machine.cpu m 0).Cpu.mmu;
   }
 
 let finish name (p : Framework.prepared) =
   match Framework.run p with
-  | Cpu.Halted -> result_of_cpu p.Framework.cpu
+  | Cpu.Halted -> result_of_machine p.Framework.machine
   | Cpu.Out_of_fuel -> failwith (Printf.sprintf "Runner: %s did not terminate" name)
 
 let run_baseline ?iterations prof =
@@ -27,12 +59,11 @@ let pool_for (cfg : Framework.config) =
   | Technique.Sfi | Technique.Mpx | Technique.Mpk _ | Technique.Vmfunc | Technique.Sgx
   | Technique.Mprotect | Technique.Isboxing -> None
 
-let run_with ?iterations ?optimize prof (cfg : Framework.config) =
-  let lowered = Synth.lowered ?iterations ?xmm_pool:(pool_for cfg) prof in
-  finish prof.Profile.name (Framework.prepare ?optimize cfg lowered)
+let prepare_instrumented ?iterations ?optimize ?vcpus prof (cfg : Framework.config) =
+  Framework.prepare ?vcpus ?optimize cfg (Synth.lowered ?iterations ?xmm_pool:(pool_for cfg) prof)
 
-let prepare_instrumented ?iterations ?optimize prof (cfg : Framework.config) =
-  Framework.prepare ?optimize cfg (Synth.lowered ?iterations ?xmm_pool:(pool_for cfg) prof)
+let run_with ?iterations ?optimize ?vcpus prof cfg =
+  finish prof.Profile.name (prepare_instrumented ?iterations ?optimize ?vcpus prof cfg)
 
 let profile ?iterations ?optimize prof (cfg : Framework.config) =
   let p = prepare_instrumented ?iterations ?optimize prof cfg in
@@ -85,52 +116,6 @@ let sweep ?iterations ?(jobs = 1) profiles configs =
     Array.to_list
       (Array.map (function Some row -> row | None -> assert false) results)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Multi-vCPU runs                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type smp_result = {
-  per_core : run_result array;
-  total_insns : int;
-  makespan : float;  (* slowest core's cycles *)
-  utilization : float array;  (* per-core cycles / makespan *)
-  switches : int;  (* gate crossings summed over cores *)
-  shootdowns : int;  (* TLB-shootdown broadcasts machine-wide *)
-}
-
-let smp_result_of_machine m =
-  let per_core = Array.map result_of_cpu (Machine.cpus m) in
-  let makespan = Machine.max_cycles m in
-  {
-    per_core;
-    total_insns = Machine.total_insns m;
-    makespan;
-    utilization =
-      Array.map (fun r -> if makespan > 0.0 then r.cycles /. makespan else 1.0) per_core;
-    switches = Array.fold_left (fun a r -> a + r.switch_count) 0 per_core;
-    shootdowns = Mmu.shootdown_count (Machine.cpu m 0).Cpu.mmu;
-  }
-
-let finish_smp name ?quantum (s : Framework.smp) =
-  match Framework.run_smp ?quantum s with
-  | Cpu.Halted -> smp_result_of_machine s.Framework.machine
-  | Cpu.Out_of_fuel -> failwith (Printf.sprintf "Runner: %s (smp) did not terminate" name)
-
-(* Every vCPU runs the same request-processing program — the paper's
-   server scenario scaled out to N workers over one shared memory system.
-   Each core's stack is private; globals/heap/safe regions are shared. *)
-let prepare_smp_instrumented ?iterations ?optimize ~vcpus prof (cfg : Framework.config) =
-  Framework.prepare_smp ~vcpus ?optimize cfg
-    (Synth.lowered ?iterations ?xmm_pool:(pool_for cfg) prof)
-
-let run_smp ?iterations ?optimize ?quantum ~vcpus prof (cfg : Framework.config) =
-  finish_smp prof.Profile.name ?quantum
-    (prepare_smp_instrumented ?iterations ?optimize ~vcpus prof cfg)
-
-let run_baseline_smp ?iterations ?quantum ~vcpus prof =
-  let lowered = Synth.lowered ?iterations prof in
-  finish_smp prof.Profile.name ?quantum (Framework.prepare_baseline_smp ~vcpus lowered)
 
 let geomean_overheads rows =
   match rows with

@@ -6,31 +6,58 @@
     pool ({!Ir.Lower.crypt_xmm_pool}), modeling the system-wide register
     reservation for the ymm-resident round keys; the baseline it is
     normalized against keeps the full pool, exactly like the paper's
-    uninstrumented baseline builds. *)
+    uninstrumented baseline builds.
 
-type run_result = {
+    Every run is one {!Memsentry.Framework.prepare}d machine of [vcpus]
+    cores (default 1), and every job returns the one {!run_result}: the
+    machine's figures plus a row per core. *)
+
+type core_result = {
   cycles : float;
   insns : int;
   ipc : float;
   switch_count : int;  (** executed domain switches (0 for address-based) *)
 }
+(** One vCPU's figures. *)
+
+type run_result = {
+  cycles : float;  (** the makespan: the slowest core's cycles *)
+  insns : int;  (** retired instructions, summed over cores *)
+  ipc : float;  (** [insns / cycles] *)
+  switch_count : int;  (** executed domain switches, summed over cores *)
+  per_core : core_result array;  (** core order *)
+  utilization : float array;  (** per-core cycles / makespan *)
+  shootdowns : int;  (** TLB-shootdown broadcasts, machine-wide *)
+}
+(** On one vCPU the machine figures are that core's own. *)
 
 val run_baseline : ?iterations:int -> Profile.t -> run_result
 
 val run_with :
-  ?iterations:int -> ?optimize:bool -> Profile.t -> Memsentry.Framework.config -> run_result
+  ?iterations:int ->
+  ?optimize:bool ->
+  ?vcpus:int ->
+  Profile.t ->
+  Memsentry.Framework.config ->
+  run_result
 (** [optimize] (default false) runs {!Memsentry.Gate_opt} on the
-    instrumented output before loading it. *)
+    instrumented output before loading it. [vcpus] (default 1) runs the
+    profile's program on every one of that many cores of one shared
+    machine (deterministic round-robin interleaving) — N server workers
+    over shared memory. Raises [Invalid_argument] for [Vmfunc] on more
+    than one vCPU and for [Sgx] (see {!Memsentry.Framework.prepare}). *)
 
 val prepare_instrumented :
   ?iterations:int ->
   ?optimize:bool ->
+  ?vcpus:int ->
   Profile.t ->
   Memsentry.Framework.config ->
   Memsentry.Framework.prepared
 (** The prepared machine {!run_with} would execute, not yet run — for
     callers that want the program/sitemap (static analysis, cost models)
-    with the workload built identically to the measured builds. *)
+    with the workload built identically to the measured builds, or that
+    instrument the machine first (e.g. {!Memsentry.Fastprof.install}). *)
 
 val overhead_of :
   ?iterations:int -> ?optimize:bool -> Profile.t -> Memsentry.Framework.config -> float
@@ -63,40 +90,3 @@ val sweep :
 
 val geomean_overheads : (string * (string * float) list) list -> (string * float) list
 (** Column geomeans of a {!sweep} result. *)
-
-(** {2 Multi-vCPU runs} *)
-
-type smp_result = {
-  per_core : run_result array;
-  total_insns : int;
-  makespan : float;  (** slowest core's cycles — the wall-clock analogue *)
-  utilization : float array;  (** per-core cycles / makespan *)
-  switches : int;  (** gate crossings summed over all cores *)
-  shootdowns : int;  (** TLB-shootdown broadcasts, machine-wide *)
-}
-
-val prepare_smp_instrumented :
-  ?iterations:int ->
-  ?optimize:bool ->
-  vcpus:int ->
-  Profile.t ->
-  Memsentry.Framework.config ->
-  Memsentry.Framework.smp
-(** The multi-core machine {!run_smp} would execute, not yet run — for
-    callers that want to instrument it first (e.g.
-    {!Memsentry.Fastprof.install_smp}). *)
-
-val run_smp :
-  ?iterations:int ->
-  ?optimize:bool ->
-  ?quantum:int ->
-  vcpus:int ->
-  Profile.t ->
-  Memsentry.Framework.config ->
-  smp_result
-(** Run the profile's program on every one of [vcpus] cores of one shared
-    machine (deterministic round-robin interleaving) — N server workers
-    over shared memory. Raises [Invalid_argument] for [Vmfunc]/[Sgx]
-    (see {!Memsentry.Framework.prepare_smp}). *)
-
-val run_baseline_smp : ?iterations:int -> ?quantum:int -> vcpus:int -> Profile.t -> smp_result

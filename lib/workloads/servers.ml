@@ -38,13 +38,3 @@ let all =
 let find short = List.find (fun prof -> prof.name = short) all
 
 let names = List.map (fun prof -> prof.name) all
-
-(* N identical request-processing workers on one machine: the deployment
-   shape the paper's single-core evaluation cannot express. The returned
-   result carries per-core cycles/IPC, utilization against the makespan,
-   and machine-wide gate-crossing and shootdown totals. *)
-let parallel ?iterations ?optimize ?quantum ~vcpus prof cfg =
-  Runner.run_smp ?iterations ?optimize ?quantum ~vcpus prof cfg
-
-let parallel_baseline ?iterations ?quantum ~vcpus prof =
-  Runner.run_baseline_smp ?iterations ?quantum ~vcpus prof

@@ -9,7 +9,9 @@
 
     The [servers] benchmark runs the same technique configurations as
     Figures 3/4 over these profiles and prints the dilution factor against
-    the SPEC geomeans. *)
+    the SPEC geomeans. The multi-worker deployment — N identical request
+    workers on one shared-memory machine — is the same profile run through
+    {!Runner.run_with} with [~vcpus:N]. *)
 
 val all : Profile.t list
 (** nginx-like (event loop, moderate calls, heavy I/O), redis-like
@@ -20,18 +22,3 @@ val find : string -> Profile.t
 (** Raises [Not_found]. *)
 
 val names : string list
-
-val parallel :
-  ?iterations:int ->
-  ?optimize:bool ->
-  ?quantum:int ->
-  vcpus:int ->
-  Profile.t ->
-  Memsentry.Framework.config ->
-  Runner.smp_result
-(** Run [vcpus] identical request-processing workers on one shared-memory
-    machine under the given technique — the multi-worker server deployment
-    (see {!Runner.run_smp}). *)
-
-val parallel_baseline :
-  ?iterations:int -> ?quantum:int -> vcpus:int -> Profile.t -> Runner.smp_result

@@ -36,17 +36,15 @@ let deliver_shootdown cpu =
       ~serialize:true ~port:Pipeline.p_special
   end
 
-let run ?(fuel = 50_000_000) ?(quantum = default_quantum) t =
-  if quantum < 1 then invalid_arg "Machine.run: quantum must be positive";
-  if fuel < 0 then invalid_arg "Machine.run: fuel must be non-negative";
+(* Round-robin, deterministically: core 0 runs a quantum, then core 1,
+   ... wrapping until every core is halted or out of fuel. Each core's
+   fuel consumption is measured as its retired-instruction delta —
+   [Cpu.run]'s budget accounting decrements exactly once per retired
+   instruction (EPT-retried attempts are cancelled on both sides), so
+   chaining quanta is observationally identical to one long run. *)
+let interleave ~fuel ~quantum t =
   let n = Array.length t.cpus in
   let remaining = Array.make n fuel in
-  (* Round-robin, deterministically: core 0 runs a quantum, then core 1,
-     ... wrapping until every core is halted or out of fuel. Each core's
-     fuel consumption is measured as its retired-instruction delta —
-     [Cpu.run]'s budget accounting decrements exactly once per retired
-     instruction (EPT-retried attempts are cancelled on both sides), so
-     chaining quanta is observationally identical to one long run. *)
   let continue = ref true in
   while !continue do
     let progressed = ref false in
@@ -72,6 +70,14 @@ let run ?(fuel = 50_000_000) ?(quantum = default_quantum) t =
   done;
   let all_halted = Array.for_all (fun c -> c.Cpu.halted) t.cpus in
   if all_halted then Cpu.Halted else Cpu.Out_of_fuel
+
+let run ?(fuel = 50_000_000) ?(quantum = default_quantum) t =
+  if quantum < 1 then invalid_arg "Machine.run: quantum must be positive";
+  if fuel < 0 then invalid_arg "Machine.run: fuel must be non-negative";
+  (* A lone core has no one to interleave with (and no sibling to shoot
+     down its TLB): its whole fuel is one slice, so no quantum boundary
+     splits a block and forces a fresh suffix compile on resume. *)
+  if Array.length t.cpus = 1 then Cpu.run ~fuel t.cpus.(0) else interleave ~fuel ~quantum t
 
 let total_insns t = Array.fold_left (fun a c -> a + c.Cpu.counters.Cpu.insns) 0 t.cpus
 

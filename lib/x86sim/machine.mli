@@ -16,10 +16,12 @@
     {!Mmu.acknowledge_shootdown} (TLB flush), {!Cpu.flush_translations}
     (predecoded-block cache), and {!Cpu.ipi_deliver_cost} cycles.
 
-    A 1-vCPU machine is behaviorally identical to calling {!Cpu.run}
-    directly (invariant-tested in [test_fastpath.ml]): the quantum
-    chaining is invisible because fuel accounting is exact, and none of
-    the SMP costs arm with a single core attached. *)
+    A 1-vCPU machine is {!Cpu.run} on its one core: with no one to
+    interleave with, {!run} gives the lone core its whole fuel in one
+    slice, and none of the SMP costs arm with a single core attached
+    (invariant-tested in [test_fastpath.ml], down to the translated-block
+    compile count). This is the machine every single-core build runs on
+    ([Memsentry.Framework.prepare] defaults to one vCPU). *)
 
 type t
 
@@ -41,7 +43,8 @@ val run : ?fuel:int -> ?quantum:int -> t -> Cpu.status
 (** Run every core round-robin in [quantum]-instruction slices until all
     halt ([Halted]) or each has retired [fuel] instructions
     ([Out_of_fuel]; default 50 million {e per core}). Cores that halt or
-    exhaust fuel early are skipped; the rest keep interleaving. *)
+    exhaust fuel early are skipped; the rest keep interleaving. A 1-vCPU
+    machine ignores [quantum] and runs its core in one slice. *)
 
 val deliver_shootdown : Cpu.t -> unit
 (** Take a pending TLB-shootdown IPI on this core if one is outstanding:

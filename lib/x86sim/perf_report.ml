@@ -31,43 +31,6 @@ type t = {
    0/0 nan that poisons downstream aggregation. *)
 let ratio num den = if den = 0 then 1.0 else float_of_int num /. float_of_int den
 
-let capture (cpu : Cpu.t) =
-  let c = cpu.Cpu.counters in
-  let cache = cpu.Cpu.mmu.Mmu.cache in
-  let tlb = cpu.Cpu.mmu.Mmu.tlb in
-  let l1 = Cache.l1_hits cache
-  and l2 = Cache.l2_hits cache
-  and l3 = Cache.l3_hits cache
-  and dram = Cache.dram_accesses cache in
-  {
-    insns = c.Cpu.insns;
-    cycles = Cpu.cycles cpu;
-    ipc = (if Cpu.cycles cpu > 0.0 then float_of_int c.Cpu.insns /. Cpu.cycles cpu else 0.0);
-    loads = c.Cpu.loads;
-    stores = c.Cpu.stores;
-    calls = c.Cpu.calls;
-    rets = c.Cpu.rets;
-    ind_branches = c.Cpu.ind_branches;
-    syscalls = c.Cpu.syscalls;
-    bnd_checks = c.Cpu.bnd_checks;
-    wrpkrus = c.Cpu.wrpkrus;
-    vmfuncs = c.Cpu.vmfuncs;
-    vmcalls = c.Cpu.vmcalls;
-    vm_exits = c.Cpu.vm_exits;
-    aes_ops = c.Cpu.aes_ops;
-    faults = c.Cpu.faults;
-    l1_hit_rate = ratio l1 (l1 + l2 + l3 + dram);
-    l2_hit_rate = ratio l2 (l2 + l3 + dram);
-    l3_hit_rate = ratio l3 (l3 + dram);
-    tlb_hit_rate = ratio (Tlb.hits tlb) (Tlb.hits tlb + Tlb.misses tlb);
-    dram_accesses = dram;
-    l1_evictions = Cache.l1_evictions cache;
-    l2_evictions = Cache.l2_evictions cache;
-    l3_evictions = Cache.l3_evictions cache;
-    tlb_evictions = Tlb.evictions tlb;
-    tlb_walk_cycles = cpu.Cpu.mmu.Mmu.walk_cycles;
-  }
-
 (* Machine-wide rollup. Per-core private state (L1/L2, TLB, counters) sums
    across cores; the L3/DRAM numbers are *shared-tier* counters that every
    core's accessors alias, so they are read once — summing them would
@@ -113,6 +76,9 @@ let capture_machine (cpus : Cpu.t array) =
     tlb_evictions = sum (fun c -> Tlb.evictions c.Cpu.mmu.Mmu.tlb);
     tlb_walk_cycles = sum (fun c -> c.Cpu.mmu.Mmu.walk_cycles);
   }
+
+(* One core is the 1-vCPU rollup: every sum has one term. *)
+let capture cpu = capture_machine [| cpu |]
 
 let to_string r =
   String.concat "\n"

@@ -31,16 +31,17 @@ type t = {
   tlb_walk_cycles : int;  (** total page-table-walk latency charged by TLB misses *)
 }
 
-val capture : Cpu.t -> t
-(** On a multi-core machine, note that this core's L3/DRAM numbers are the
-    {e shared tier's} socket-wide counters (see {!Cache.l3_hits}). *)
-
 val capture_machine : Cpu.t array -> t
 (** Machine-wide rollup over cores sharing one memory system: per-core
     state (L1/L2, TLB, instruction counters) sums; shared L3/DRAM counters
     are counted once; [cycles] is the makespan (slowest core) and [ipc]
     the aggregate throughput against it. Raises [Invalid_argument] on an
     empty array. *)
+
+val capture : Cpu.t -> t
+(** One core's report: [capture_machine [| cpu |]]. On a multi-core
+    machine, note that this core's L3/DRAM numbers are the {e shared
+    tier's} socket-wide counters (see {!Cache.l3_hits}). *)
 
 val to_string : t -> string
 (** Multi-line human-readable rendering. *)

@@ -21,7 +21,7 @@ let run_profiled () =
   (match Framework.run p with
   | Cpu.Halted -> ()
   | Cpu.Out_of_fuel -> Alcotest.fail "run out of fuel");
-  (p, Fastprof.capture ~workload:"429.mcf" p)
+  (p, Fastprof.merge (Fastprof.capture ~workload:"429.mcf" p))
 
 (* --- counter saturation --- *)
 

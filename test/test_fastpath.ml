@@ -504,28 +504,84 @@ let interpreter_equals_block_tier () =
       Alcotest.(check bool) (name ^ ": block tier ran a block") true (block_blocks > 0))
     exhaustive_cases
 
-(* The differential guard for the multi-vCPU refactor: a 1-vCPU
-   [Machine.run] must be byte-identical to a bare [Cpu.run] — same
-   cycles, counters, registers, vector file and memory — at any quantum,
-   because chaining quanta may not perturb the model. Quantum 1 forces a
-   scheduler entry between every pair of instructions. *)
+(* The differential guard for the one build path: a 1-vCPU [Machine.run]
+   is [Cpu.run] on its core — same cycles, counters, registers, vector
+   file and memory — and, because a lone core takes its whole fuel in one
+   slice, it translates the same blocks: equal [Ublock.compiles] and
+   [Ublock.stats], on every constructor and on a real workload whose run
+   spans many default quanta (hmmer, MPK call/ret).
+
+   The multi-core scheduler chains [Cpu.run ~fuel:q] slices, which is only
+   sound because fuel accounting is exact. So each case also runs on
+   core 0 of a 2-vCPU machine whose core 1 halts at once (a fresh core's
+   program is a lone [Halt]): quanta of 1, 7 and 1000 instructions must
+   reproduce the state [~quantum:max_int] (one slice per core) leaves.
+   Quantum 1 resumes between every pair of instructions. *)
 let machine_single_core_differential () =
+  let blocks (cpu : Cpu.t) = (Ublock.compiles cpu.Cpu.tcache, Ublock.stats cpu.Cpu.tcache) in
+  let same_blocks what a b =
+    let ca, sa = blocks a and cb, sb = blocks b in
+    Alcotest.(check int) (what ^ ": block compiles") ca cb;
+    Alcotest.(check bool) (what ^ ": block stats") true (sa = sb)
+  in
+  let on_two_cores ?fuel ~quantum items =
+    let m = Machine.create ~vcpus:2 () in
+    run_case_on ~hooks:false (Machine.cpu m 0) (fun () -> Machine.run ?fuel ~quantum m) items
+  in
   List.iter
-    (fun quantum ->
+    (fun (name, items) ->
+      let cpu = Cpu.create () in
+      let direct = run_case_on ~hooks:false cpu (fun () -> Cpu.run cpu) (items ()) in
+      let m = Machine.create () in
+      let via_machine =
+        run_case_on ~hooks:false (Machine.cpu m 0) (fun () -> Machine.run m) (items ())
+      in
+      Alcotest.(check (list string)) (name ^ " (machine)") [] (diff_fields direct via_machine);
+      same_blocks name cpu (Machine.cpu m 0);
+      let one_slice = on_two_cores ~quantum:max_int (items ()) in
       List.iter
-        (fun (name, items) ->
-          let direct = run_case ~hooks:false (items ()) in
-          let m = Machine.create () in
-          let via_machine =
-            run_case_on ~hooks:false (Machine.cpu m 0)
-              (fun () -> Machine.run ~quantum m)
-              (items ())
-          in
+        (fun q ->
           Alcotest.(check (list string))
-            (Printf.sprintf "%s (quantum %d)" name quantum)
-            [] (diff_fields direct via_machine))
-        exhaustive_cases)
-    [ 1; 7; 1000 ]
+            (Printf.sprintf "%s (2 vCPUs, quantum %d)" name q)
+            [] (diff_fields one_slice (on_two_cores ~quantum:q (items ()))))
+        [ 1; 7; 1000 ])
+    exhaustive_cases;
+  (* Fuel is per core and exact across slices: a 302-instruction loop cut
+     at 123 instructions stops at the same instruction whatever the
+     quantum, including ones that do not divide the fuel. *)
+  let countdown () =
+    let i x = Program.I x in
+    [
+      i (Insn.Mov_ri (Reg.rbx, 100));
+      Program.Label "loop";
+      i (Insn.Alu_ri (Insn.Sub, Reg.rbx, 1));
+      i (Insn.Cmp_ri (Reg.rbx, 0));
+      i (Insn.Jcc (Insn.Ne, Insn.target "loop"));
+      i Insn.Halt;
+    ]
+  in
+  let cut = on_two_cores ~fuel:123 ~quantum:max_int (countdown ()) in
+  Alcotest.(check string) "fuel cut: out of fuel" "fuel" cut.f_status;
+  Alcotest.(check int) "fuel cut: 123 retired" 123 cut.f_counters.Cpu.insns;
+  List.iter
+    (fun q ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "fuel cut (2 vCPUs, quantum %d)" q)
+        [] (diff_fields cut (on_two_cores ~fuel:123 ~quantum:q (countdown ()))))
+    [ 1; 7; 1000 ];
+  let prepared () =
+    Framework.prepare
+      (Framework.config ~switch_policy:Instr.At_call_ret (Technique.Mpk Mpk.Pkey.No_access))
+      (Workloads.Synth.lowered ~iterations:20 (Workloads.Spec2006.find "hmmer"))
+  in
+  let direct = prepared () and via_machine = prepared () in
+  ignore (Cpu.run direct.Framework.cpu);
+  ignore (Machine.run via_machine.Framework.machine);
+  let a = direct.Framework.cpu and b = via_machine.Framework.cpu in
+  Alcotest.(check bool) "hmmer spans many quanta" true
+    (a.Cpu.counters.Cpu.insns > 10 * Machine.default_quantum);
+  Alcotest.(check (float 0.0)) "hmmer: cycles" (Cpu.cycles a) (Cpu.cycles b);
+  same_blocks "hmmer" a b
 
 (* --- fault precision inside a block ------------------------------------- *)
 

@@ -137,18 +137,25 @@ let race_deterministic () =
 let smp_servers_deterministic () =
   let prof = Workloads.Servers.find "nginx-like" in
   let cfg = Memsentry.Framework.config (Memsentry.Technique.Mpk Mpk.Pkey.No_access) in
-  let run () = Workloads.Servers.parallel ~iterations:2 ~vcpus:4 prof cfg in
+  let run () = Workloads.Runner.run_with ~iterations:2 ~vcpus:4 prof cfg in
   let r1 = run () and r2 = run () in
   Alcotest.(check bool) "two 4-vCPU runs identical" true (r1 = r2);
   Alcotest.(check int) "four per-core rows" 4 (Array.length r1.Workloads.Runner.per_core);
   Array.iter
-    (fun (c : Workloads.Runner.run_result) ->
+    (fun (c : Workloads.Runner.core_result) ->
       Alcotest.(check bool) "every core made progress" true (c.Workloads.Runner.insns > 0))
     r1.Workloads.Runner.per_core;
   let sum =
-    Array.fold_left (fun acc c -> acc + c.Workloads.Runner.insns) 0 r1.Workloads.Runner.per_core
+    Array.fold_left
+      (fun acc (c : Workloads.Runner.core_result) -> acc + c.Workloads.Runner.insns)
+      0 r1.Workloads.Runner.per_core
   in
-  Alcotest.(check int) "total_insns is the per-core sum" sum r1.Workloads.Runner.total_insns;
+  Alcotest.(check int) "insns is the per-core sum" sum r1.Workloads.Runner.insns;
+  Alcotest.(check (float 0.0)) "cycles is the makespan"
+    (Array.fold_left
+       (fun acc (c : Workloads.Runner.core_result) -> Float.max acc c.Workloads.Runner.cycles)
+       0.0 r1.Workloads.Runner.per_core)
+    r1.Workloads.Runner.cycles;
   Array.iter
     (fun u -> Alcotest.(check bool) "utilization in (0, 1]" true (u > 0.0 && u <= 1.0))
     r1.Workloads.Runner.utilization
@@ -156,13 +163,13 @@ let smp_servers_deterministic () =
 let smp_perf_report_aggregates () =
   let prof = Workloads.Servers.find "redis-like" in
   let cfg = Memsentry.Framework.config (Memsentry.Technique.Mpk Mpk.Pkey.No_access) in
-  let s =
-    Memsentry.Framework.prepare_smp ~vcpus:2 cfg (Workloads.Synth.lowered ~iterations:2 prof)
+  let p =
+    Memsentry.Framework.prepare ~vcpus:2 cfg (Workloads.Synth.lowered ~iterations:2 prof)
   in
-  (match Memsentry.Framework.run_smp s with
+  (match Memsentry.Framework.run p with
   | Cpu.Halted -> ()
   | Cpu.Out_of_fuel -> Alcotest.fail "smp run out of fuel");
-  let cpus = Machine.cpus s.Memsentry.Framework.machine in
+  let cpus = Machine.cpus p.Memsentry.Framework.machine in
   let total = Perf_report.capture_machine cpus in
   let per_core = Array.map Perf_report.capture cpus in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 per_core in
@@ -176,6 +183,27 @@ let smp_perf_report_aggregates () =
   Alcotest.(check int) "shared DRAM accesses counted once"
     per_core.(0).Perf_report.dram_accesses total.Perf_report.dram_accesses
 
+(* --- what one Framework.prepare refuses to build ----------------------- *)
+
+(* The VMFUNC hypervisor virtualizes one CPU, SGX is not an
+   instrumentation technique, and a machine needs a core: each is an
+   [Invalid_argument] at build time, never a silently smaller machine. *)
+let prepare_rejects_bad_machines () =
+  let lowered = Workloads.Synth.lowered ~iterations:2 (Workloads.Servers.find "redis-like") in
+  let rejects what f =
+    match f () with
+    | (_ : Memsentry.Framework.prepared) -> Alcotest.failf "%s: built a machine" what
+    | exception Invalid_argument _ -> ()
+  in
+  let prepare ~vcpus t () =
+    Memsentry.Framework.prepare ~vcpus (Memsentry.Framework.config t) lowered
+  in
+  rejects "VMFUNC on 2 vCPUs" (prepare ~vcpus:2 Memsentry.Technique.Vmfunc);
+  rejects "SGX on 2 vCPUs" (prepare ~vcpus:2 Memsentry.Technique.Sgx);
+  rejects "MPK on 0 vCPUs" (prepare ~vcpus:0 (Memsentry.Technique.Mpk Mpk.Pkey.No_access));
+  (* One vCPU is the default machine, and VMFUNC builds on it. *)
+  ignore (prepare ~vcpus:1 Memsentry.Technique.Vmfunc ())
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_unmap_race;
@@ -187,4 +215,6 @@ let suite =
     Alcotest.test_case "4-vCPU servers: deterministic + aggregated" `Quick
       smp_servers_deterministic;
     Alcotest.test_case "machine perf report aggregates cores" `Quick smp_perf_report_aggregates;
+    Alcotest.test_case "prepare rejects VMFUNC/SGX SMP and 0 vCPUs" `Quick
+      prepare_rejects_bad_machines;
   ]
