@@ -363,10 +363,10 @@ let profile_cmd =
     let prof = find_bench name in
     let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
     let base = Workloads.Runner.run_baseline ~iterations prof in
-    (* The profiler's hooks force the CPU off its translated fast loop
-       onto the per-step interpreter; measure what that observation
-       costs in host time by running the identical instrumented build
-       once without hooks first. *)
+    (* The profiler runs on the translated blocks, observing through
+       event hooks and the per-rip class map; measure what that
+       observation costs in host time by running the identical
+       instrumented build once unobserved first. *)
     let p_fast = Workloads.Runner.prepare_instrumented ~iterations prof cfg in
     let t0 = Unix.gettimeofday () in
     let fast_status = Framework.run p_fast in
@@ -379,17 +379,17 @@ let profile_cmd =
     | _ ->
       Printf.eprintf "%s did not terminate\n" prof.Workloads.Profile.name;
       exit 1);
-    let hooked_s = Unix.gettimeofday () -. t0 in
+    let observed_s = Unix.gettimeofday () -. t0 in
     Profiler.stop profiler;
     let inst_cycles = X86sim.Cpu.cycles p.Framework.cpu in
     let overhead = inst_cycles /. base.Workloads.Runner.cycles in
     Printf.printf "%s under %s (%d iterations): %.0f cycles, overhead %.3fx\n"
       prof.Workloads.Profile.name (Technique.name technique) iterations inst_cycles overhead;
     Printf.printf
-      "engine: hooked interpreter (step/event hooks attached); observation cost %.1fx vs \
-       the fast path (%.3fs hooked, %.3fs fast)\n\n"
-      (if fast_s > 0.0 then hooked_s /. fast_s else nan)
-      hooked_s fast_s;
+      "engine: translated blocks (event hooks and class map attached); observation cost \
+       %.1fx vs the unobserved run (%.3fs observed, %.3fs unobserved)\n\n"
+      (if fast_s > 0.0 then observed_s /. fast_s else nan)
+      observed_s fast_s;
     print_string (Report.site_table profiler);
     let spans = Profiler.spans profiler in
     if spans <> [] then begin

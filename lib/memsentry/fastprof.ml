@@ -27,13 +27,7 @@ type t = {
 (* Every core runs the same program, so one read-only map serves all. *)
 let install (p : Framework.prepared) =
   let sm = p.Framework.sitemap in
-  let map = Array.make (Program.length p.Framework.program) 0 in
-  Array.iteri
-    (fun rip _ ->
-      match Sitemap.classify sm rip with
-      | Some (site, _role) -> map.(rip) <- site + 1
-      | None -> ())
-    map;
+  let map = Sitemap.class_map sm ~code_length:(Program.length p.Framework.program) in
   Array.iter
     (fun cpu -> Cpu.set_site_rows cpu map ~rows:(Sitemap.n_sites sm + 1))
     (Machine.cpus p.Framework.machine)
@@ -77,12 +71,22 @@ let capture_cpu ?workload ~technique (sm : Sitemap.t) (cpu : Cpu.t) =
     p_walk_cycles = cpu.Cpu.mmu.Mmu.walk_cycles;
   }
 
+(* [capture] labels core [i] of a multi-core machine [w/corei]; [merge]
+   strips that suffix again, so the rollup carries the bare name. *)
+let core_suffix = "/core"
+
+let machine_workload w =
+  match String.rindex_opt w '/' with
+  | Some k when String.starts_with ~prefix:core_suffix (String.sub w k (String.length w - k)) ->
+    String.sub w 0 k
+  | _ -> w
+
 let capture ?workload (p : Framework.prepared) =
   let technique = Technique.name p.Framework.cfg.Framework.technique in
   let cpus = Machine.cpus p.Framework.machine in
   let workload_of i =
     match workload with
-    | Some w when Array.length cpus > 1 -> Some (Printf.sprintf "%s/core%d" w i)
+    | Some w when Array.length cpus > 1 -> Some (Printf.sprintf "%s%s%d" w core_suffix i)
     | w -> w
   in
   Array.to_list
@@ -95,7 +99,8 @@ let capture ?workload (p : Framework.prepared) =
    every core's capture, so they are taken from the first profile only),
    CPI rows merge by (label, rip) with element-wise class addition, block
    stats merge by entry. Row/block order follows the first profile, with
-   rows only the later cores saw appended. *)
+   rows only the later cores saw appended; the workload is the first
+   profile's, without its per-core suffix. *)
 let merge = function
   | [] -> invalid_arg "Fastprof.merge: empty list"
   | [ t ] -> t
@@ -142,7 +147,7 @@ let merge = function
     let blocks = List.rev_map (Hashtbl.find btbl) !border in
     let sum f = List.fold_left (fun a t -> a + f t) 0 all in
     {
-      p_workload = first.p_workload;
+      p_workload = machine_workload first.p_workload;
       p_technique = first.p_technique;
       p_cycles = List.fold_left (fun a t -> a +. t.p_cycles) 0.0 all;
       p_insns = sum (fun t -> t.p_insns);

@@ -1,8 +1,8 @@
 (** Fast-path microarchitectural profiler.
 
-    Where {!Profiler} watches a run through step/event hooks (forcing the
-    CPU off its translated fast loop), this module reads the counters the
-    fast path maintains {e anyway}: the per-block execution/edge profile
+    Where {!Profiler} counts crossings, checks and misses through the
+    class-transition callback and event hooks, this module reads the
+    counters the fast path maintains {e anyway}: the per-block execution/edge profile
     kept by {!X86sim.Ublock}, and the CPI-stack cycle accounting kept by
     {!X86sim.Pipeline} — every simulated cycle attributed to exactly one
     of issue/port contention, L1/L2/L3 miss, TLB walk, store-buffer
@@ -42,10 +42,12 @@ type t = {
 }
 
 val install : Framework.prepared -> unit
-(** Build the rip → site row map from the prepared sitemap and install it
-    ({!Cpu.set_site_rows}) on every vCPU (all cores run the same
-    instrumented program): row 0 is application code, row [id + 1] is
-    site [id]. Zeroes any prior CPI accumulation. Call before running. *)
+(** Build the per-rip class map from the prepared sitemap
+    ({!Sitemap.class_map}, the map {!Profiler.attach} installs too) and
+    install it ({!Cpu.set_site_rows}) on every vCPU (all cores run the
+    same instrumented program): row 0 is application code, row [id + 1]
+    is site [id]. Zeroes any prior CPI accumulation. Call before
+    running. *)
 
 val capture : ?workload:string -> Framework.prepared -> t list
 (** Snapshot every fast-path counter of the (finished) run: one profile
@@ -60,7 +62,8 @@ val merge : t list -> t
     sum, CPI rows merge by (label, rip) with element-wise class addition,
     block stats merge by entry. Shared-tier L3 evictions are taken once
     (from the first profile), not summed. Workload/technique labels come
-    from the first profile. A lone profile is returned unchanged, so
+    from the first profile, with the ["/coreN"] suffix {!capture} added
+    removed, so the rollup names the bare workload. A lone profile is returned unchanged, so
     [merge (capture p)] is the profile of a 1-vCPU run. Raises
     [Invalid_argument] on []. *)
 

@@ -24,9 +24,12 @@ type t = {
   span_rec : Tracer.spans;
   synthetic : bool;
   technique : string;
-  mutable prev_class : (int * Sitemap.role) option;
-  mutable prev_cycles : float;
-  mutable step_hook : int option;
+  map : int array;  (* the class map installed on core 0 *)
+  class_cycles : float array;
+      (* cycles per class row (0 = app, [id + 1] = site [id]); unboxed
+         accumulators, copied into [stats]/[app] by [stop] *)
+  now : float array;  (* [| cycles at the last transition |] *)
+  mutable prev_class : int;  (* class of the running code; 0 = app *)
   mutable event_hook : int option;
 }
 
@@ -40,6 +43,53 @@ let injects_seq_gates = function
   | Technique.Sgx ->
     false
 
+(* The cycles since the previous transition belong to the class that was
+   running (pipeline effects included). Every cycle value is a multiple
+   of 1/4, so these per-run sums equal the per-instruction ones exactly. *)
+let charge t now =
+  let r = Cpu.class_row t.prev_class in
+  t.class_cycles.(r) <- t.class_cycles.(r) +. (now -. t.now.(0));
+  t.now.(0) <- now
+
+(* A crossing/check fires on the transition into a tagged range, so a
+   straight-line enter sequence counts once however long it is. *)
+let on_class t (c : Cpu.t) cls =
+  charge t (Cpu.cycles c);
+  (if cls <> 0 then
+     let s = t.stats.(Sitemap.class_site cls) in
+     match Sitemap.class_role cls with
+     | Sitemap.Gate_open ->
+       s.crossings <- s.crossings + 1;
+       if t.synthetic then
+         Cpu.emit c (Event.Gate_enter { rip = c.Cpu.rip; gate = Event.Seq t.technique })
+     | Sitemap.Gate_close ->
+       s.crossings <- s.crossings + 1;
+       if t.synthetic then
+         Cpu.emit c (Event.Gate_exit { rip = c.Cpu.rip; gate = Event.Seq t.technique })
+     | Sitemap.Check | Sitemap.Hoisted_check -> s.checks <- s.checks + 1);
+  t.prev_class <- cls
+
+let attribute t ~tlb ~cache ~fault rip =
+  let cls = if rip >= 0 && rip < Array.length t.map then t.map.(rip) else 0 in
+  if cls <> 0 then begin
+    let s = t.stats.(Sitemap.class_site cls) in
+    s.tlb_misses <- s.tlb_misses + tlb;
+    s.cache_misses <- s.cache_misses + cache;
+    s.faults <- s.faults + fault
+  end
+  else begin
+    t.app.r_tlb_misses <- t.app.r_tlb_misses + tlb;
+    t.app.r_cache_misses <- t.app.r_cache_misses + cache;
+    t.app.r_faults <- t.app.r_faults + fault
+  end
+
+let on_event t ev =
+  match ev with
+  | Event.Tlb_miss { rip; _ } -> attribute t ~tlb:1 ~cache:0 ~fault:0 rip
+  | Event.Cache_miss { rip; _ } -> attribute t ~tlb:0 ~cache:1 ~fault:0 rip
+  | Event.Fault { rip; _ } -> attribute t ~tlb:0 ~cache:0 ~fault:1 rip
+  | Event.Gate_enter _ | Event.Gate_exit _ | Event.Vm_exit _ -> ()
+
 let attach (p : Framework.prepared) =
   let cpu = p.Framework.cpu in
   let sm = p.Framework.sitemap in
@@ -50,6 +100,7 @@ let attach (p : Framework.prepared) =
            { site; crossings = 0; checks = 0; cycles = 0.0; tlb_misses = 0; cache_misses = 0; faults = 0 })
          (Sitemap.sites sm))
   in
+  let map = Sitemap.class_map sm ~code_length:(Program.length p.Framework.program) in
   let t =
     {
       prepared = p;
@@ -58,78 +109,29 @@ let attach (p : Framework.prepared) =
       span_rec = Tracer.record_spans cpu;
       synthetic = injects_seq_gates p.Framework.cfg.Framework.technique;
       technique = Technique.name p.Framework.cfg.Framework.technique;
-      prev_class = None;
-      prev_cycles = Cpu.cycles cpu;
-      step_hook = None;
+      map;
+      class_cycles = Array.make (Array.length stats + 1) 0.0;
+      now = [| Cpu.cycles cpu |];
+      prev_class = 0;
       event_hook = None;
     }
   in
-  let on_step (c : Cpu.t) _insn =
-    let now = Cpu.cycles c in
-    (* The cycles since the previous fetch belong to the previous
-       instruction's site (pipeline effects included). *)
-    (match t.prev_class with
-    | Some (id, _) -> t.stats.(id).cycles <- t.stats.(id).cycles +. (now -. t.prev_cycles)
-    | None -> t.app.r_cycles <- t.app.r_cycles +. (now -. t.prev_cycles));
-    t.prev_cycles <- now;
-    let cls = Sitemap.classify sm c.Cpu.rip in
-    (* A crossing/check fires on the transition into a tagged range, so a
-       straight-line enter sequence counts once however long it is. *)
-    (if cls <> t.prev_class then
-       match cls with
-       | Some (id, Sitemap.Gate_open) ->
-         t.stats.(id).crossings <- t.stats.(id).crossings + 1;
-         if t.synthetic then
-           Cpu.emit c (Event.Gate_enter { rip = c.Cpu.rip; gate = Event.Seq t.technique })
-       | Some (id, Sitemap.Gate_close) ->
-         t.stats.(id).crossings <- t.stats.(id).crossings + 1;
-         if t.synthetic then
-           Cpu.emit c (Event.Gate_exit { rip = c.Cpu.rip; gate = Event.Seq t.technique })
-       | Some (id, (Sitemap.Check | Sitemap.Hoisted_check)) ->
-         t.stats.(id).checks <- t.stats.(id).checks + 1
-       | None -> ());
-    t.prev_class <- cls
-  in
-  let on_event ev =
-    let attribute ~tlb ~cache ~fault rip =
-      match Sitemap.classify sm rip with
-      | Some (id, _) ->
-        let s = t.stats.(id) in
-        s.tlb_misses <- s.tlb_misses + tlb;
-        s.cache_misses <- s.cache_misses + cache;
-        s.faults <- s.faults + fault
-      | None ->
-        t.app.r_tlb_misses <- t.app.r_tlb_misses + tlb;
-        t.app.r_cache_misses <- t.app.r_cache_misses + cache;
-        t.app.r_faults <- t.app.r_faults + fault
-    in
-    match ev with
-    | Event.Tlb_miss { rip; _ } -> attribute ~tlb:1 ~cache:0 ~fault:0 rip
-    | Event.Cache_miss { rip; _ } -> attribute ~tlb:0 ~cache:1 ~fault:0 rip
-    | Event.Fault { rip; _ } -> attribute ~tlb:0 ~cache:0 ~fault:1 rip
-    | Event.Gate_enter _ | Event.Gate_exit _ | Event.Vm_exit _ -> ()
-  in
-  t.step_hook <- Some (Cpu.add_step_hook cpu on_step);
-  t.event_hook <- Some (Cpu.add_event_hook cpu on_event);
+  Cpu.set_site_rows cpu map ~rows:(Array.length stats + 1);
+  Cpu.set_class_hook cpu (on_class t);
+  t.event_hook <- Some (Cpu.add_event_hook cpu (on_event t));
   t
 
 let stop t =
   let cpu = t.prepared.Framework.cpu in
-  (match t.step_hook with
-  | Some id ->
-    Cpu.remove_step_hook cpu id;
-    t.step_hook <- None;
-    (* Account the tail: cycles since the last fetch. *)
-    let now = Cpu.cycles cpu in
-    (match t.prev_class with
-    | Some (id, _) -> t.stats.(id).cycles <- t.stats.(id).cycles +. (now -. t.prev_cycles)
-    | None -> t.app.r_cycles <- t.app.r_cycles +. (now -. t.prev_cycles));
-    t.prev_cycles <- now
-  | None -> ());
   (match t.event_hook with
   | Some id ->
+    Cpu.clear_class_hook cpu;
     Cpu.remove_event_hook cpu id;
-    t.event_hook <- None
+    t.event_hook <- None;
+    (* Account the tail: cycles since the last transition. *)
+    charge t (Cpu.cycles cpu);
+    t.app.r_cycles <- t.class_cycles.(0);
+    Array.iteri (fun id r -> r.cycles <- t.class_cycles.(id + 1)) t.stats
   | None -> ());
   Tracer.stop t.span_rec
 

@@ -2,16 +2,20 @@
     a first-class subsystem.
 
     Attach to a {!Framework.prepared} machine before running it; the
-    profiler watches core 0 and
+    profiler watches core 0 on the translated fast loop. It installs the
+    sitemap's per-rip class map ({!Sitemap.class_map}), a class-transition
+    callback and an event hook, but no step hook, and
 
     - counts {e crossings} (executions of a gate open/close sequence) and
       {e checks} (executions of an address-based check) per
-      {!Sitemap.site}, by watching step transitions into tagged ranges;
-    - attributes cycles to each site: time between consecutive fetches is
-      charged to the site of the instruction that just ran, so gate
-      serialization and cache effects land on the gate that caused them;
+      {!Sitemap.site}, on class transitions into tagged ranges;
+    - attributes cycles to each site: the time from one transition to the
+      next is charged to the class that ran in between, so gate
+      serialization and cache effects land on the gate that caused them
+      (the same sums, exactly, as charging every instruction on its own);
     - attributes TLB misses, cache fills below L1, and faults to sites via
-      the [rip] carried by typed {!X86sim.Event.t}s;
+      the [rip] carried by typed {!X86sim.Event.t}s, looked up in the
+      class map;
     - records domain-residency spans. For techniques whose gates the CPU
       reports ([wrpkru], [vmfunc]) the hardware events drive the spans;
       for sequence-gated techniques (crypt, mprotect) the profiler injects
@@ -44,14 +48,20 @@ type residual = {
 type t
 
 val attach : Framework.prepared -> t
-(** Install step and event hooks on core 0 (composes with tracers and
-    analyses). Attach before {!Framework.run}; cycle accounting starts at
-    the current pipeline clock. On a multi-vCPU build the siblings run
-    unprofiled; {!Fastprof} covers every core without perturbing any. *)
+(** Install the class map (as {!Fastprof.install} does, zeroing core 0's
+    CPI rows), the class-transition callback and an event hook on core 0.
+    Composes with tracers and analyses; a step hook attached beside it
+    only moves the run onto the interpreter, which reports the same
+    numbers. A core has one class callback, so a second profiler
+    attached to the same core replaces the first's counting. Attach
+    before {!Framework.run}; cycle accounting starts at the current
+    pipeline clock. On a multi-vCPU build the siblings run unprofiled;
+    {!Fastprof} covers every core. *)
 
 val stop : t -> unit
-(** Remove the hooks, charge the cycle tail, and force-close open spans.
-    Call after the run; accessors below are meaningful afterwards. *)
+(** Remove the callback and the event hook, charge the cycle tail, and
+    force-close open spans. Call after the run; accessors below are
+    meaningful afterwards (per-site cycles only then). *)
 
 val injects_seq_gates : Technique.t -> bool
 (** Whether the profiler supplies [Event.Seq] gate events for this

@@ -38,6 +38,26 @@ let lookup t rip =
 
 let tagged_instructions t = Hashtbl.length t.by_rip
 
+let role_tag = function Gate_open -> 0 | Gate_close -> 1 | Check -> 2 | Hoisted_check -> 3
+
+let class_map t ~code_length =
+  let map = Array.make code_length 0 in
+  Hashtbl.iter
+    (fun rip (id, role) ->
+      if rip >= 0 && rip < code_length then
+        map.(rip) <- X86sim.Cpu.site_class ~row:(id + 1) ~tag:(role_tag role))
+    t.by_rip;
+  map
+
+let class_site cls = X86sim.Cpu.class_row cls - 1
+
+let class_role cls =
+  match X86sim.Cpu.class_tag cls with
+  | 0 -> Gate_open
+  | 1 -> Gate_close
+  | 2 -> Check
+  | _ -> Hoisted_check
+
 let to_json t =
   let open Ms_util.Json in
   Obj

@@ -41,7 +41,7 @@ val tag : t -> rip:int -> site:int -> role:role -> unit
 
 val classify : t -> int -> (int * role) option
 (** [(site id, role)] of an instruction index, or [None] for application
-    code. O(1); used in the profiler's per-step hot path. *)
+    code. Allocates its result; hot paths read {!class_map} instead. *)
 
 val lookup : t -> int -> (site * role) option
 
@@ -53,4 +53,23 @@ val sites : t -> site list
 
 val n_sites : t -> int
 val tagged_instructions : t -> int
+
+(** {2 The per-rip class map}
+
+    The form the core checks before every instruction (see
+    {!X86sim.Cpu.set_site_rows}). *)
+
+val class_map : t -> code_length:int -> int array
+(** One class per instruction index in [[0, code_length)]: 0 for
+    application code, and for an instruction of site [id] in role [r] a
+    class whose pipeline row is [id + 1] (row 0 is the application row)
+    and whose tag is the role. Two instructions have equal classes
+    exactly when {!classify} gives them equal results, so a class
+    transition is a change of [(site, role)]. *)
+
+val class_site : int -> int
+(** The site id of a non-zero class from {!class_map}. *)
+
+val class_role : int -> role
+(** The role of a non-zero class from {!class_map}. *)
 val to_json : t -> Ms_util.Json.t

@@ -49,12 +49,17 @@ type t = {
   sb_ready : float array;
   counters : counters;
   mutable site_of : int array;
-      (* CPI attribution map: [site_of.(rip)] is the Pipeline row charged
-         for instruction [rip] (0 = un-attributed application row). [||]
+      (* Per-rip class map: [site_of.(rip)] is instruction [rip]'s class,
+         the Pipeline row charged for it (low [row_bits] bits; 0 = the
+         un-attributed application row) with an opaque tag above. [||]
          (the default) disables per-site attribution: everything lands in
          the pipeline's single default row, and the per-instruction cost
          is one length compare per block chain. Installed by
          [set_site_rows]; must cover the whole code array. *)
+  mutable cur_class : int;
+      (* class of the last instruction that passed a class check *)
+  mutable on_class : t -> int -> unit;
+      (* called with the new class on every class transition *)
   mutable program : Program.t;
   mutable tcache : Ublock.cache;
       (* predecoded basic-block translations of [program]; swapped when
@@ -199,6 +204,8 @@ let default_syscall_handler t =
   else if nr = sys_write || nr = sys_nop then t.gpr.(Reg.rax) <- 0
   else t.gpr.(Reg.rax) <- -38 (* ENOSYS *)
 
+let no_class_hook _ _ = ()
+
 (* Build a core over an existing MMU view. Core [i]'s stack tops out at
    [Layout.stack_top - i * stack_stride], so siblings sharing the address
    space get disjoint stacks; core 0 lands exactly where the single-core
@@ -229,6 +236,8 @@ let create_on ?(stack_pages = 64) mmu =
       sb_ready = Array.make sb_slots 0.0;
       counters = new_counters ();
       site_of = [||];
+      cur_class = 0;
+      on_class = no_class_hook;
       program;
       tcache = Ublock.create program;
       traces = Trace.empty;
@@ -370,19 +379,47 @@ let reset_measurement t =
   c.wrpkrus <- 0; c.aes_ops <- 0; c.bnd_checks <- 0; c.faults <- 0;
   c.vm_exits <- 0
 
+let row_bits = 24
+let row_mask = (1 lsl row_bits) - 1
+
+let site_class ~row ~tag =
+  if row < 0 || row > row_mask || tag < 0 then
+    invalid_arg (Printf.sprintf "Cpu.site_class: row %d / tag %d out of range" row tag);
+  row lor (tag lsl row_bits)
+
+let class_row cls = cls land row_mask
+let class_tag cls = cls lsr row_bits
+
 let set_site_rows t map ~rows =
   if Array.length map < Program.length t.program then
     invalid_arg "Cpu.set_site_rows: map shorter than the code array";
   let bad = ref (-1) in
-  Array.iter (fun r -> if r < 0 || r >= rows then bad := r) map;
+  Array.iter (fun c -> if c < 0 || class_row c >= rows then bad := class_row c) map;
   if !bad >= 0 then
     invalid_arg (Printf.sprintf "Cpu.set_site_rows: row %d out of [0, %d)" !bad rows);
   t.site_of <- map;
+  t.cur_class <- 0;
   Pipeline.install_rows t.pipe rows
 
 let clear_site_rows t =
   t.site_of <- [||];
+  t.cur_class <- 0;
   Pipeline.install_rows t.pipe 1
+
+let set_class_hook t f = t.on_class <- f
+let clear_class_hook t = t.on_class <- no_class_hook
+
+(* The class check, made before every instruction that runs under an
+   installed map: charge its row, and report a transition. Transitions
+   are rare (gate and check boundaries), so the callback call stays out
+   of line. *)
+let class_transition t cls =
+  t.cur_class <- cls;
+  t.on_class t cls
+
+let[@inline] enter_class t cls =
+  Pipeline.set_row t.pipe (class_row cls);
+  if cls <> t.cur_class then class_transition t cls
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -832,11 +869,10 @@ let step t =
     for i = 0 to t.n_step_hooks - 1 do
       (snd t.step_hooks.(i)) t insn
     done;
-    (* Same per-site CPI attribution as the translated loop ([saved] is
-       in-bounds here: the fetch above would have faulted otherwise). *)
+    (* Same class check as the translated loop ([saved] is in-bounds
+       here: the fetch above would have faulted otherwise). *)
     let map = t.site_of in
-    if saved < Array.length map then
-      Pipeline.set_row t.pipe (Array.unsafe_get map saved);
+    if saved < Array.length map then enter_class t (Array.unsafe_get map saved);
     t.counters.insns <- t.counters.insns + 1;
     exec_attempt t (Ublock.op cache saved) saved 0
   end
@@ -877,10 +913,10 @@ let follow_dynamic cache target =
    instruction and the EPT-retry handler can resume precisely. *)
 let exec_block_chain t cache b0 budget =
   let c = t.counters in
-  (* Per-site CPI attribution is active only when an installed map covers
-     this cache's whole code array; the check is hoisted to one compare
-     per chain (the map cannot change mid-chain — only handlers install
-     it, and every handler-running instruction ends the chain). *)
+  (* The class check is active only when an installed map covers this
+     cache's whole code array; that test is hoisted to one compare per
+     chain (the map cannot change mid-chain — only handlers install it,
+     and every handler-running instruction ends the chain). *)
   let map = t.site_of in
   let mapped = Array.length map >= Ublock.code_length cache in
   let bcell = ref b0 in
@@ -893,18 +929,27 @@ let exec_block_chain t cache b0 budget =
     blk.Ublock.exec_count <- Ublock.bump blk.Ublock.exec_count;
     let i = ref 0 in
     (* Two copies of the uop loop so the un-instrumented run (no site map
-       installed — the common case) pays nothing per uop for row
-       attribution, not even a predictable branch. *)
-    if mapped then
+       installed — the common case) pays nothing per uop for the class
+       check, not even a predictable branch. *)
+    if mapped then begin
       while !i < n && !budget > 0 do
         let rip = entry + !i in
         t.rip <- rip;
-        Pipeline.set_row t.pipe (Array.unsafe_get map rip);
+        enter_class t (Array.unsafe_get map rip);
         c.insns <- c.insns + 1;
         exec_uop t (Array.unsafe_get uops !i);
         decr budget;
         incr i
-      done
+      done;
+      (* The terminator's check, made here so the unmapped path below
+         keeps no call. A fall-off terminator is no instruction: it gets
+         no check, as [step]'s fetch faults before its hooks run. *)
+      let ti = blk.Ublock.term_idx in
+      if !i = n && !budget > 0 && ti < Ublock.code_length cache then begin
+        t.rip <- ti;
+        enter_class t (Array.unsafe_get map ti)
+      end
+    end
     else
       while !i < n && !budget > 0 do
         t.rip <- entry + !i;
@@ -923,8 +968,6 @@ let exec_block_chain t cache b0 budget =
       else begin
         let ti = blk.Ublock.term_idx in
         t.rip <- ti;
-        if mapped && ti < Array.length map then
-          Pipeline.set_row t.pipe (Array.unsafe_get map ti);
         match blk.Ublock.term with
         | Ublock.Term_fall_off ->
           (* Ran off the end of the code array: the dispatch loop turns
@@ -968,7 +1011,7 @@ let exec_block_chain t cache b0 budget =
    does, instead of being delivered like an execution fault. *)
 exception Fetch_out_of_code
 
-(* The no-hook fast loop: [step] minus the hook scan, minus the
+(* The fast loop: [step] minus the step-hook scan, minus the
    per-instruction exception frame (one [try] per fault, not per
    instruction), and with the per-instruction fetch and memo lookup
    amortized away — control dispatches into predecoded basic blocks
@@ -978,12 +1021,15 @@ exception Fetch_out_of_code
    faulting operation), so when a [Fault.Fault] arrives here [t.rip]
    still names the faulting instruction.
 
-   Entered only while both hook lists are empty. The emptiness re-check
-   per chain entry is two integer loads — what it buys is that handlers
-   (syscall/fault/vmcall) attaching a hook mid-run fall back to the
-   instrumented loop at the next dispatch boundary; every instruction
-   that can run a handler terminates its block chain, so no hook change
-   can go unnoticed within a chain. *)
+   Event hooks run here too: the uop, terminator and fault code shared
+   with [step] emit every event, with the same [rip] and in the same
+   order. Entered only while no step hook is attached. The re-check per
+   chain entry is one integer load — what it buys is that handlers
+   (syscall/fault/vmcall) attaching a step hook mid-run fall back to the
+   interpreter at the next dispatch boundary; every instruction that can
+   run a handler terminates its block chain, so no such change goes
+   unnoticed within a chain. (A step hook attached from an event hook or
+   the class callback takes effect at the next chain boundary.) *)
 let run_fast t budget =
   (* EPT-retry bookkeeping across fault unwinds, mirroring
      [exec_attempt]'s recursion depth: a chain of consecutive retries of
@@ -996,7 +1042,7 @@ let run_fast t budget =
     while !live do
       try
         while
-          (not t.halted) && !budget > 0 && t.n_step_hooks = 0 && t.n_event_hooks = 0
+          (not t.halted) && !budget > 0 && t.n_step_hooks = 0
         do
           (* Handlers may swap the program mid-run; cache identity is
              re-checked at every chain entry (chains end at every
@@ -1040,7 +1086,7 @@ let run_fast t budget =
 let run ?(fuel = 50_000_000) t =
   let budget = ref fuel in
   while (not t.halted) && !budget > 0 do
-    if t.n_step_hooks = 0 && t.n_event_hooks = 0 then run_fast t budget
+    if t.n_step_hooks = 0 then run_fast t budget
     else begin
       step t;
       decr budget

@@ -70,10 +70,21 @@ type t = {
   sb_ready : float array;
   counters : counters;
   mutable site_of : int array;
-      (** CPI-stack attribution map: [site_of.(rip)] is the {!Pipeline}
-          row charged for instruction [rip] (0 = the un-attributed
-          application row). [[||]] (the default) disables per-site
-          attribution. Install via {!set_site_rows}. *)
+      (** Per-rip class map: [site_of.(rip)] is instruction [rip]'s
+          {e class}, built by {!site_class}. Its {!class_row} is the
+          {!Pipeline} row charged for the instruction (0 = the
+          un-attributed application row); its {!class_tag} is an opaque
+          label the installer chose (MemSentry stores the site's role).
+          Before every instruction that runs under the map, the core
+          selects the row and, when the class differs from the previous
+          instruction's, calls [on_class]. [[||]] (the default) disables
+          both. Install via {!set_site_rows}. *)
+  mutable cur_class : int;
+      (** Class of the last instruction checked against [site_of]
+          (0 after {!set_site_rows}). *)
+  mutable on_class : t -> int -> unit;
+      (** The class-transition callback (see {!set_class_hook}); a no-op
+          by default. *)
   mutable program : Program.t;
   mutable tcache : Ublock.cache;
       (** Predecoded translations of [program] (see {!Ublock}): every
@@ -137,18 +148,30 @@ val flush_translations : t -> unit
 
     Both hook lists are composable: any number of observers may attach,
     each gets back an id for targeted removal, and registration order is
-    call order. *)
+    call order.
+
+    Only step hooks cost speed: while one is attached, {!run} executes
+    one instruction at a time through {!step}. Event hooks run on the
+    translated fast loop, which emits every event with the same [rip]
+    and in the same order as {!step}. Per-site observers that need to
+    see control move between code regions use the class map instead
+    ({!set_site_rows} and {!set_class_hook}), which the fast loop also
+    checks. *)
 
 val add_step_hook : t -> (t -> Insn.t -> unit) -> int
 (** Attach an observer called before each instruction executes (with the
-    machine state as of fetch: [rip] still points at the instruction). *)
+    machine state as of fetch: [rip] still points at the instruction).
+    While any is attached, {!run} stays on the one-instruction
+    interpreter. *)
 
 val remove_step_hook : t -> int -> unit
 (** Remove by id; unknown ids are ignored. *)
 
 val add_event_hook : t -> (Event.t -> unit) -> int
 (** Subscribe to typed events: gate enters/exits ([wrpkru]/[vmfunc]),
-    faults, TLB misses, cache fills below L1, and VM exits. *)
+    faults, TLB misses, cache fills below L1, and VM exits. Does not take
+    the run off the fast loop. An event hook that attaches a step hook
+    sees it take effect at the next block-chain boundary. *)
 
 val remove_event_hook : t -> int -> unit
 
@@ -167,18 +190,41 @@ val reset_measurement : t -> unit
 (** Zero the pipeline clock and counters (not the memory system) so a
     measurement can exclude setup work. *)
 
+val site_class : row:int -> tag:int -> int
+(** The class of an instruction charged to pipeline [row] and labelled
+    [tag]. Class 0 ([~row:0 ~tag:0]) is application code. Raises
+    [Invalid_argument] for a negative tag or a row outside [0, 2{^24}). *)
+
+val class_row : int -> int
+val class_tag : int -> int
+(** The two halves of a class built by {!site_class}. *)
+
 val set_site_rows : t -> int array -> rows:int -> unit
-(** Install a per-instruction CPI-stack attribution map: [map.(rip)] is
-    the pipeline row (in [0, rows)) charged for every cycle instruction
-    [rip] spends issuing; row 0 is the un-attributed application row.
-    [map] must cover the installed program's whole code array, and every
-    value must be a valid row. Installs [rows] accumulation rows in the
-    pipeline ({!Pipeline.install_rows}), zeroing any prior CPI data.
-    Raises [Invalid_argument] on a short map or out-of-range row. *)
+(** Install a per-instruction class map: [map.(rip)] is instruction
+    [rip]'s class ({!site_class}), whose row (in [0, rows)) is charged
+    for every cycle the instruction spends issuing. [map] must cover the
+    installed program's whole code array, and every class's row must be
+    valid. Installs [rows] accumulation rows in the pipeline
+    ({!Pipeline.install_rows}), zeroing any prior CPI data, and resets
+    [cur_class] to 0. Raises [Invalid_argument] on a short map or
+    out-of-range row. *)
 
 val clear_site_rows : t -> unit
-(** Drop the attribution map and return the pipeline to a single
-    aggregate CPI row. *)
+(** Drop the class map and return the pipeline to a single aggregate CPI
+    row. *)
+
+val set_class_hook : t -> (t -> int -> unit) -> unit
+(** Install the one class-transition callback, replacing any previous
+    one. Under an installed map, before an instruction executes (where
+    {!step} runs its hooks, and before each uop and terminator of a
+    translated block), the core compares the instruction's class with
+    [cur_class]; when they differ it sets [cur_class] and calls the
+    callback with the new class, [rip] naming the instruction. A fault
+    or an EPT-violation retry re-enters at an instruction whose class is
+    already current, so it reports no transition. *)
+
+val clear_class_hook : t -> unit
+(** Restore the no-op callback. *)
 
 (** {2 Register access} *)
 
@@ -208,7 +254,9 @@ val step : t -> unit
     instruction does. *)
 
 val run : ?fuel:int -> t -> status
-(** Execute until [Halt] or [fuel] instructions (default 50 million). *)
+(** Execute until [Halt] or [fuel] instructions (default 50 million):
+    as chained translated blocks while no step hook is attached,
+    otherwise one {!step} at a time. *)
 
 (** {2 The built-in syscall table}
 

@@ -205,6 +205,31 @@ let test_diff_flags_regressions () =
     Alcotest.(check (float 1e-9)) "ratio computed" 1.6 second.Fastprof.rg_ratio
   | l -> Alcotest.failf "expected 2 regressions, got %d" (List.length l)
 
+(* --- multi-core capture and rollup --- *)
+
+(* [capture] labels each core of a 2-vCPU machine; [merge] rolls them up
+   under the bare workload name, summing the per-core counters. *)
+let test_merge_two_cores () =
+  let prof = Workloads.Spec2006.find "429.mcf" in
+  let cfg =
+    Framework.config ~switch_policy:Instr.At_call_ret (Technique.Mpk Mpk.Pkey.No_access)
+  in
+  let p = Workloads.Runner.prepare_instrumented ~iterations:3 ~vcpus:2 prof cfg in
+  Fastprof.install p;
+  (match Framework.run p with
+  | Cpu.Halted -> ()
+  | Cpu.Out_of_fuel -> Alcotest.fail "run out of fuel");
+  let per_core = Fastprof.capture ~workload:"429.mcf" p in
+  Alcotest.(check (list string)) "per-core labels" [ "429.mcf/core0"; "429.mcf/core1" ]
+    (List.map (fun (t : Fastprof.t) -> t.Fastprof.p_workload) per_core);
+  let m = Fastprof.merge per_core in
+  Alcotest.(check string) "rollup carries the bare workload" "429.mcf" m.Fastprof.p_workload;
+  Alcotest.(check int) "instructions sum"
+    (List.fold_left (fun a (t : Fastprof.t) -> a + t.Fastprof.p_insns) 0 per_core)
+    m.Fastprof.p_insns;
+  Alcotest.(check string) "a lone profile keeps its label" "429.mcf/core1"
+    (Fastprof.merge [ List.nth per_core 1 ]).Fastprof.p_workload
+
 let suite =
   [
     Alcotest.test_case "bump saturates" `Quick test_bump_saturation;
@@ -217,4 +242,5 @@ let suite =
     Alcotest.test_case "collapsed flamegraph" `Quick test_collapsed_emitter;
     Alcotest.test_case "speedscope export" `Quick test_speedscope_emitter;
     Alcotest.test_case "perf-diff flags regressions" `Quick test_diff_flags_regressions;
+    Alcotest.test_case "2-vCPU capture and merge" `Quick test_merge_two_cores;
   ]

@@ -504,6 +504,50 @@ let interpreter_equals_block_tier () =
       Alcotest.(check bool) (name ^ ": block tier ran a block") true (block_blocks > 0))
     exhaustive_cases
 
+(* Event hooks do not force the interpreter: with only an event hook
+   attached, every constructor's run executes translated blocks, and its
+   event stream (each event with its [rip], in order) equals the stream of
+   the same run forced onto [step] by a no-op step hook. The machine state
+   must match too. Over the whole sweep, gate, fault, TLB-miss and
+   cache-miss events all occur, so each emitting path is compared. *)
+let event_hooks_on_block_tier () =
+  let kinds = Hashtbl.create 8 in
+  List.iter
+    (fun (name, items) ->
+      let run ~step =
+        let cpu = Cpu.create () in
+        let events = ref [] in
+        ignore (Cpu.add_event_hook cpu (fun ev -> events := ev :: !events));
+        if step then ignore (Cpu.add_step_hook cpu (fun _ _ -> ()));
+        let snap = run_case_on ~hooks:false cpu (fun () -> Cpu.run cpu) (items ()) in
+        (snap, List.rev !events, List.length (Ublock.stats cpu.Cpu.tcache))
+      in
+      let block, block_events, block_blocks = run ~step:false in
+      let interp, interp_events, interp_blocks = run ~step:true in
+      Alcotest.(check (list string)) (name ^ ": event-hooked block tier = interpreter") []
+        (diff_fields block interp);
+      Alcotest.(check (list string)) (name ^ ": same events, rips and order")
+        (List.map Event.to_string interp_events)
+        (List.map Event.to_string block_events);
+      Alcotest.(check bool) (name ^ ": event hook kept the block tier") true (block_blocks > 0);
+      Alcotest.(check int) (name ^ ": step hook forced the interpreter") 0 interp_blocks;
+      List.iter
+        (fun ev ->
+          let kind =
+            match ev with
+            | Event.Gate_enter _ | Event.Gate_exit _ -> "gate"
+            | Event.Fault _ -> "fault"
+            | Event.Tlb_miss _ -> "tlb"
+            | Event.Cache_miss _ -> "cache"
+            | Event.Vm_exit _ -> "vm-exit"
+          in
+          Hashtbl.replace kinds kind ())
+        block_events)
+    exhaustive_cases;
+  List.iter
+    (fun k -> Alcotest.(check bool) ("sweep emits " ^ k ^ " events") true (Hashtbl.mem kinds k))
+    [ "gate"; "fault"; "tlb"; "cache" ]
+
 (* The differential guard for the one build path: a 1-vCPU [Machine.run]
    is [Cpu.run] on its core — same cycles, counters, registers, vector
    file and memory — and, because a lone core takes its whole fuel in one
@@ -844,6 +888,8 @@ let suite =
       exhaustive_differential;
     Alcotest.test_case "every Insn constructor: interpreter = block tier" `Quick
       interpreter_equals_block_tier;
+    Alcotest.test_case "every Insn constructor: event hooks stay on the block tier" `Quick
+      event_hooks_on_block_tier;
     Alcotest.test_case "1-vCPU Machine.run = Cpu.run (quanta 1/7/1000)" `Quick
       machine_single_core_differential;
     Alcotest.test_case "fault inside a block: rip names the faulting instruction" `Quick

@@ -311,6 +311,144 @@ let test_crypt_synthetic_spans () =
     (List.length (Profiler.spans profiler));
   Alcotest.(check int) "no stray exits" 0 (Profiler.unmatched_exits profiler)
 
+(* --- the profiler on the block tier --- *)
+
+(* [Profiler.attach] installs the class map, its callback and an event
+   hook, but no step hook, so the run stays on translated blocks. Forced
+   back onto [step] by a no-op step hook, the same build must give the
+   same profile: every row field (cycles exactly), the app residual, the
+   spans and the unmatched exits. *)
+let profiled_on ~force_step (p : Framework.prepared) =
+  let cpu = p.Framework.cpu in
+  let profiler = Profiler.attach p in
+  Alcotest.(check int) "attach installs no step hook" 0 cpu.Cpu.n_step_hooks;
+  if force_step then ignore (Cpu.add_step_hook cpu (fun _ _ -> ()));
+  (match Framework.run p with
+  | Cpu.Halted -> ()
+  | Cpu.Out_of_fuel -> Alcotest.fail "profiled run did not halt");
+  Profiler.stop profiler;
+  (profiler, List.length (Ublock.stats cpu.Cpu.tcache))
+
+let same_profile what (a : Profiler.t) (b : Profiler.t) =
+  Alcotest.(check bool) (what ^ ": rows") true (Profiler.rows a = Profiler.rows b);
+  Alcotest.(check bool) (what ^ ": app residual") true (Profiler.residual a = Profiler.residual b);
+  Alcotest.(check bool) (what ^ ": spans") true (Profiler.spans a = Profiler.spans b);
+  Alcotest.(check int) (what ^ ": unmatched exits") (Profiler.unmatched_exits b)
+    (Profiler.unmatched_exits a)
+
+let all_techniques =
+  [
+    Technique.Sfi;
+    Technique.Mpx;
+    Technique.Mpk Mpk.Pkey.No_access;
+    Technique.Mpk Mpk.Pkey.Read_only;
+    Technique.Vmfunc;
+    Technique.Crypt;
+    Technique.Mprotect;
+  ]
+
+let test_profiler_block_tier_equals_step () =
+  List.iter
+    (fun bench ->
+      let prof = Workloads.Spec2006.find bench in
+      List.iter
+        (fun tech ->
+          let what = Printf.sprintf "%s under %s" bench (Technique.name tech) in
+          let cfg = Framework.config ~switch_policy:Instr.At_call_ret tech in
+          let build () = Workloads.Runner.prepare_instrumented ~iterations:3 prof cfg in
+          let block, block_blocks = profiled_on ~force_step:false (build ()) in
+          let step, step_blocks = profiled_on ~force_step:true (build ()) in
+          same_profile what block step;
+          Alcotest.(check bool) (what ^ ": profiled run executes blocks") true
+            (block_blocks > 0);
+          Alcotest.(check int) (what ^ ": forced run interprets") 0 step_blocks;
+          Alcotest.(check bool) (what ^ ": something to attribute") true
+            (Profiler.total_crossings block + Profiler.total_checks block > 0))
+        all_techniques)
+    [ "429.mcf"; "456.hmmer"; "453.povray" ]
+
+(* A hand-built "prepared" machine: [items] with the instructions in
+   [gate] tagged as site 0's open sequence. *)
+let hand_prepared ?(setup = fun _ -> ()) tech ~gate items =
+  let machine = Machine.create () in
+  let cpu = Machine.cpu machine 0 in
+  let program = Program.assemble items in
+  Cpu.load_program cpu program;
+  setup cpu;
+  let sitemap = Sitemap.create () in
+  let site = Sitemap.new_site sitemap ~label:"gate" ~technique:(Technique.name tech) ~orig_rip:0 in
+  List.iter (fun rip -> Sitemap.tag sitemap ~rip ~site ~role:Sitemap.Gate_open) gate;
+  {
+    Framework.machine;
+    cpu;
+    program;
+    regions = [];
+    hypervisor = None;
+    cfg = Framework.config tech;
+    sitemap;
+    opt_stats = None;
+  }
+
+(* A fault in the middle of a gate range, skipped by the fault handler:
+   execution re-enters the range after the faulting instruction, which is
+   no new transition, so the gate still counts one crossing. *)
+let test_fault_skip_inside_gate () =
+  let i x = Program.I x in
+  let items =
+    [
+      i (Insn.Mov_ri (Reg.rbx, 0x900000));
+      i Insn.Nop;
+      i (Insn.Load (Reg.rax, Insn.mem ~base:Reg.rbx 0));
+      i Insn.Nop;
+      i Insn.Halt;
+    ]
+  in
+  List.iter
+    (fun force_step ->
+      let what = if force_step then "interpreter" else "block tier" in
+      let setup cpu = cpu.Cpu.fault_handler <- (fun _ _ -> Cpu.Fault_skip) in
+      let p = hand_prepared ~setup Technique.Crypt ~gate:[ 1; 2; 3 ] items in
+      let profiler, _ = profiled_on ~force_step p in
+      match Profiler.rows profiler with
+      | [ r ] ->
+        Alcotest.(check int) (what ^ ": one crossing") 1 r.Profiler.crossings;
+        Alcotest.(check int) (what ^ ": fault attributed to the gate") 1 r.Profiler.faults;
+        Alcotest.(check int) (what ^ ": one injected span") 1
+          (List.length (Profiler.spans profiler))
+      | _ -> Alcotest.fail "expected one site row")
+    [ false; true ]
+
+(* An EPT violation inside a tagged range, fixed by the hypervisor's
+   demand fill and retried: the retry re-executes an instruction whose
+   class is already current, so the gate counts one crossing. *)
+let test_ept_retry_inside_gate () =
+  let i x = Program.I x in
+  let page = Layout.heap_base + 0x300000 in
+  let items =
+    [
+      i (Insn.Mov_ri (Reg.rbx, page));
+      i Insn.Nop;
+      i (Insn.Load (Reg.rax, Insn.mem ~base:Reg.rbx 0));
+      i Insn.Nop;
+      i Insn.Halt;
+    ]
+  in
+  List.iter
+    (fun force_step ->
+      let what = if force_step then "interpreter" else "block tier" in
+      let setup cpu =
+        ignore (Vmx.Sandbox.enter cpu);
+        Mmu.map_range cpu.Cpu.mmu ~va:page ~len:4096 ~writable:true
+      in
+      let p = hand_prepared ~setup Technique.Vmfunc ~gate:[ 1; 2; 3 ] items in
+      let profiler, _ = profiled_on ~force_step p in
+      Alcotest.(check bool) (what ^ ": the load took an EPT exit") true
+        (p.Framework.cpu.Cpu.counters.Cpu.vm_exits > 0);
+      Alcotest.(check int) (what ^ ": retried load counted once") 5
+        p.Framework.cpu.Cpu.counters.Cpu.insns;
+      Alcotest.(check int) (what ^ ": one crossing") 1 (Profiler.total_crossings profiler))
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -331,4 +469,8 @@ let suite =
     Alcotest.test_case "profile json round-trip" `Quick test_profile_json_roundtrip;
     Alcotest.test_case "chrome trace valid" `Quick test_chrome_trace_valid;
     Alcotest.test_case "crypt synthetic spans" `Quick test_crypt_synthetic_spans;
+    Alcotest.test_case "profiler: block tier = interpreter" `Quick
+      test_profiler_block_tier_equals_step;
+    Alcotest.test_case "profiler: fault skipped inside a gate" `Quick test_fault_skip_inside_gate;
+    Alcotest.test_case "profiler: EPT retry inside a gate" `Quick test_ept_retry_inside_gate;
   ]
