@@ -22,8 +22,7 @@ let profiles () = List.map Workloads.Spec2006.find [ "perlbench"; "bzip2"; "povr
 let size_ratio prof cfg =
   let lowered = Workloads.Synth.lowered ~iterations:2 prof in
   let base = X86sim.Encode.items_bytes (Instr.strip lowered.Ir.Lower.mitems) in
-  let p = Framework.prepare cfg lowered in
-  let inst = X86sim.Encode.program_bytes p.Framework.program in
+  let inst = X86sim.Encode.program_bytes (Framework.instrument cfg lowered).Framework.program in
   float_of_int inst /. float_of_int base
 
 let run () =

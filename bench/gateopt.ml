@@ -79,7 +79,7 @@ let measure_config name cfg =
     let base = Workloads.Runner.run_baseline ~iterations:!Bench_common.iterations prof in
     let p0, prof0 = profiled_run ~optimize:false prof cfg in
     let p1, prof1 = profiled_run ~optimize:true prof cfg in
-    (match p1.Framework.opt_stats with
+    (match p1.Framework.plan.Framework.opt_stats with
     | None -> ()
     | Some s ->
       a.sites <- a.sites + s.Gate_opt.sites_total;
@@ -93,12 +93,13 @@ let measure_config name cfg =
     a.cross1 <- a.cross1 + Profiler.total_crossings prof1;
     a.ovh0 <- (Cpu.cycles p0.Framework.cpu /. base.Workloads.Runner.cycles) :: a.ovh0;
     a.ovh1 <- (Cpu.cycles p1.Framework.cpu /. base.Workloads.Runner.cycles) :: a.ovh1;
-    let model = Cost_model.predict p1.Framework.program p1.Framework.sitemap in
+    let plan1 = p1.Framework.plan in
+    let model = Cost_model.predict plan1.Framework.program plan1.Framework.sitemap in
     let v = Cost_model.validate model prof1 in
     a.exact <- a.exact + v.Cost_model.n_exact;
     a.bounded <- a.bounded + v.Cost_model.n_bounded;
     a.violated <- a.violated + v.Cost_model.n_violated;
-    match Framework.verify_prepared p1 with
+    match Framework.verify plan1 with
     | Some r -> a.unsafe <- a.unsafe + List.length r.Gate_analysis.violations
     | None -> ()
   in
@@ -141,7 +142,9 @@ let shadow_coalescing () =
   let p1, prof1 = build true in
   let sname = prof.Workloads.Profile.name in
   let coal =
-    match p1.Framework.opt_stats with Some s -> s.Gate_opt.coalesced_pairs | None -> 0
+    match p1.Framework.plan.Framework.opt_stats with
+    | Some s -> s.Gate_opt.coalesced_pairs
+    | None -> 0
   in
   let crs0 = Profiler.total_crossings prof0 and crs1 = Profiler.total_crossings prof1 in
   let sw0 = p0.Framework.cpu.Cpu.counters.Cpu.wrpkrus

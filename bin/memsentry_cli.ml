@@ -456,8 +456,8 @@ let disasm_cmd =
       match technique with
       | None -> X86sim.Asm.print_items (Instr.strip lowered.Ir.Lower.mitems)
       | Some t ->
-        let p = Framework.prepare (Framework.config ~address_kind:kind t) lowered in
-        X86sim.Asm.print_program p.Framework.program
+        let plan = Framework.instrument (Framework.config ~address_kind:kind t) lowered in
+        X86sim.Asm.print_program plan.Framework.program
     in
     let all = String.split_on_char '\n' text in
     List.iteri (fun i l -> if i < lines then print_endline l) all;
@@ -515,39 +515,29 @@ let trace_cmd =
 
 let verify_cmd =
   let run bench asm technique policy kind iterations lints =
-    let name, report =
-      match asm with
-      | Some file ->
-        let prog = X86sim.Asm.parse_program (read_file file) in
-        let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
-        (match Framework.policy_of_config cfg with
-        | None ->
-          Printf.eprintf "technique %s has no static verification policy\n"
-            (Technique.name technique);
-          exit 1
-        | Some pol -> (file, Gate_analysis.analyze ~kind ~policy:pol prog))
-      | None ->
-        let bench =
-          match bench with
-          | Some b -> b
-          | None ->
-            Printf.eprintf "verify: name a benchmark or pass --asm FILE\n";
-            exit 1
-        in
-        let prof = find_bench bench in
-        let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
-        let lowered = Workloads.Synth.lowered ~iterations prof in
-        let p = Framework.prepare cfg lowered in
-        (match Framework.verify_prepared p with
-        | None ->
-          Printf.eprintf "technique %s has no static verification policy\n"
-            (Technique.name technique);
-          exit 1
-        | Some report -> (prof.Workloads.Profile.name, report))
-    in
     let cfg = Framework.config ~address_kind:kind ~switch_policy:policy technique in
+    let pol =
+      match Framework.policy_of_config cfg with
+      | Some pol -> pol
+      | None ->
+        Printf.eprintf "technique %s has no static verification policy\n"
+          (Technique.name technique);
+        exit 1
+    in
+    let name, prog =
+      match (asm, bench) with
+      | Some file, _ -> (file, X86sim.Asm.parse_program (read_file file))
+      | None, Some bench ->
+        let prof = find_bench bench in
+        let lowered = Workloads.Synth.lowered ~iterations prof in
+        (prof.Workloads.Profile.name, (Framework.instrument cfg lowered).Framework.program)
+      | None, None ->
+        Printf.eprintf "verify: name a benchmark or pass --asm FILE\n";
+        exit 1
+    in
+    let report = Gate_analysis.analyze ~kind ~policy:pol prog in
     Printf.printf "%s under %s (%s):\n" name (Technique.name technique)
-      (Gate_analysis.policy_name (Option.get (Framework.policy_of_config cfg)));
+      (Gate_analysis.policy_name pol);
     Format.printf "%a" Gate_analysis.pp_report
       (if lints then report else { report with Gate_analysis.lints = [] });
     if report.Gate_analysis.violations <> [] then exit 1
@@ -601,25 +591,19 @@ let optimize_cmd =
             { Ir.Lower.item; cls; safe = false })
           items
       in
-      let tname = Technique.name technique in
-      let (items, sm), pol =
-        match technique with
-        | Technique.Sfi ->
-          ( Instr.address_based_sites ~check:Instr_sfi.check ~kind ~technique:tname mitems,
-            Gate_analysis.Sfi_policy )
-        | Technique.Mpx ->
-          ( Instr.address_based_sites ~check:Instr_mpx.check ~kind ~technique:tname mitems,
-            Gate_analysis.Mpx_policy )
-        | Technique.Isboxing ->
-          ( Instr.address_based_lea32_sites ~kind ~technique:tname mitems,
-            Gate_analysis.Isboxing_policy )
+      let cfg = Framework.config ~address_kind:kind technique in
+      let pol =
+        match (Technique.isolation_class technique, Framework.policy_of_config cfg) with
+        | Technique.Address_based, Some pol -> pol
         | _ ->
           Printf.eprintf "optimize --asm supports address-based techniques (sfi/mpx/isboxing)\n";
           exit 1
       in
+      let items, sm = Framework.emit cfg [] mitems in
       (try
          let r = Gate_opt.optimize ~policy:pol ~kind items sm in
-         Format.printf "%s under %s: %a@." file tname Gate_opt.pp_stats r.Gate_opt.stats;
+         Format.printf "%s under %s: %a@." file (Technique.name technique) Gate_opt.pp_stats
+           r.Gate_opt.stats;
          if stats then print_string (X86sim.Asm.print_items r.Gate_opt.items);
          if r.Gate_opt.report.Gate_analysis.violations <> [] then begin
            Format.printf "%a" Gate_analysis.pp_report r.Gate_opt.report;
@@ -647,14 +631,15 @@ let optimize_cmd =
          | X86sim.Cpu.Halted -> ()
          | X86sim.Cpu.Out_of_fuel -> failwith "optimized program did not terminate");
          Profiler.stop profiler;
-         let model = Cost_model.predict p.Framework.program p.Framework.sitemap in
+         let plan = p.Framework.plan in
+         let model = Cost_model.predict plan.Framework.program plan.Framework.sitemap in
          let validation = Cost_model.validate model profiler in
          let violations =
-           match Framework.verify_prepared p with
+           match Framework.verify plan with
            | Some r -> List.length r.Gate_analysis.violations
            | None -> 0
          in
-         (match p.Framework.opt_stats with
+         (match plan.Framework.opt_stats with
          | Some s ->
            Format.printf "%s under %s: %a@." prof.Workloads.Profile.name
              (Technique.name technique) Gate_opt.pp_stats s

@@ -22,7 +22,8 @@ let () =
   Mmu.poke_bytes cpu.Cpu.mmu ~va:vault.Safe_region.va session_key;
 
   (* Seal it with crypt: encrypted in place, master key in ymm highs. *)
-  let crypt = Instr_crypt.setup cpu ~seed:42 [ vault ] in
+  Instr_crypt.setup cpu ~seed:42 [ vault ];
+  let enter, leave = Instr_crypt.brackets [ vault ] in
 
   (* Attacker dumps the vault. *)
   let dumped = Mmu.peek_bytes cpu.Cpu.mmu ~va:vault.Safe_region.va ~len:16 in
@@ -34,13 +35,13 @@ let () =
      Here we run the actual enter/leave instruction sequences. *)
   let prog =
     Program.assemble
-      ((Program.Label "main" :: List.map (fun i -> Program.I i) (Instr_crypt.enter crypt))
+      ((Program.Label "main" :: List.map (fun i -> Program.I i) enter)
       @ [
           (* use the key: load it into xmm14 for a (simulated) TLS record seal *)
           Program.I (Insn.Mov_ri (Reg.rbx, vault.Safe_region.va));
           Program.I (Insn.Movdqa_load (14, Insn.mem ~base:Reg.rbx 0));
         ]
-      @ List.map (fun i -> Program.I i) (Instr_crypt.leave crypt)
+      @ List.map (fun i -> Program.I i) leave
       @ [ Program.I Insn.Halt ])
   in
   Cpu.load_program cpu prog;

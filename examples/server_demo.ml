@@ -36,7 +36,7 @@ let () =
     Mmu.poke64 cpu.Cpu.mmu ~va:(table.Safe_region.va + (8 * slot))
       (Int64.to_int (Int64.shift_right_logical (Ms_util.Prng.next_int64 rng) 2))
   done;
-  let _mpk = Instr_mpk.setup cpu ~protection:Mpk.Pkey.No_access [ table ] in
+  Instr_mpk.setup cpu ~protection:Mpk.Pkey.No_access [ table ];
   let prim = Attacks.Primitives.create cpu in
   let leaked = ref 0 in
   for slot = 0 to 31 do

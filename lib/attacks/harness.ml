@@ -113,19 +113,18 @@ let run_deterministic () =
   in
   let mpk =
     direct "MPK" ~gadget:Primitives.Raw ~setup:(fun cpu region ->
-        let st = Instr_mpk.setup cpu ~protection:Mpk.Pkey.No_access [ region ] in
-        ignore st)
+        Instr_mpk.setup cpu ~protection:Mpk.Pkey.No_access [ region ])
   in
   let vmfunc =
     direct "VMFUNC" ~gadget:Primitives.Raw ~setup:(fun cpu region -> ignore (Instr_vmfunc.setup cpu [ region ]))
   in
   let crypt =
     direct "crypt" ~gadget:Primitives.Raw ~setup:(fun cpu region ->
-        ignore (Instr_crypt.setup cpu ~seed:5 [ region ]))
+        Instr_crypt.setup cpu ~seed:5 [ region ])
   in
   let mprotect =
     direct "mprotect" ~gadget:Primitives.Raw ~setup:(fun cpu region ->
-        ignore (Instr_mprotect.setup cpu [ region ]))
+        Instr_mprotect.setup cpu [ region ])
   in
   let sfi =
     direct "SFI" ~gadget:Primitives.Sfi_masked ~setup:(fun cpu region ->

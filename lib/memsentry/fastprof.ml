@@ -26,8 +26,9 @@ type t = {
 
 (* Every core runs the same program, so one read-only map serves all. *)
 let install (p : Framework.prepared) =
-  let sm = p.Framework.sitemap in
-  let map = Sitemap.class_map sm ~code_length:(Program.length p.Framework.program) in
+  let plan = p.Framework.plan in
+  let sm = plan.Framework.sitemap in
+  let map = Sitemap.class_map sm ~code_length:(Program.length plan.Framework.program) in
   Array.iter
     (fun cpu -> Cpu.set_site_rows cpu map ~rows:(Sitemap.n_sites sm + 1))
     (Machine.cpus p.Framework.machine)
@@ -82,7 +83,8 @@ let machine_workload w =
   | _ -> w
 
 let capture ?workload (p : Framework.prepared) =
-  let technique = Technique.name p.Framework.cfg.Framework.technique in
+  let plan = p.Framework.plan in
+  let technique = Technique.name plan.Framework.cfg.Framework.technique in
   let cpus = Machine.cpus p.Framework.machine in
   let workload_of i =
     match workload with
@@ -91,7 +93,7 @@ let capture ?workload (p : Framework.prepared) =
   in
   Array.to_list
     (Array.mapi
-       (fun i cpu -> capture_cpu ?workload:(workload_of i) ~technique p.Framework.sitemap cpu)
+       (fun i cpu -> capture_cpu ?workload:(workload_of i) ~technique plan.Framework.sitemap cpu)
        cpus)
 
 (* Merge per-core profiles into one machine-wide profile: cycles and

@@ -16,173 +16,165 @@ let config ?(address_kind = Instr.Reads_and_writes) ?(switch_policy = Instr.At_s
     ?(crypt_seed = 1) ?(crypt_keys = Instr_crypt.Ymm_high) technique =
   { technique; address_kind; switch_policy; crypt_seed; crypt_keys }
 
-type prepared = {
-  machine : Machine.t;
-  cpu : Cpu.t;
-  program : Program.t;
-  regions : Safe_region.region list;
-  hypervisor : Vmx.Hypervisor.t option;
+type plan = {
   cfg : config;
+  regions : Safe_region.region list;
+  program : Program.t;
   sitemap : Sitemap.t;
   opt_stats : Gate_opt.stats option;
 }
 
-let policy_of_config cfg =
-  match cfg.technique with
-  | Technique.Sfi -> Some Gate_analysis.Sfi_policy
-  | Technique.Mpx -> Some Gate_analysis.Mpx_policy
-  | Technique.Isboxing -> Some Gate_analysis.Isboxing_policy
-  | Technique.Mpk protection -> Some (Gate_analysis.Mpk_policy protection)
-  | Technique.Vmfunc -> Some Gate_analysis.Vmfunc_policy
-  | Technique.Crypt -> Some Gate_analysis.Crypt_policy
-  | Technique.Mprotect | Technique.Sgx -> None
+type prepared = {
+  machine : Machine.t;
+  cpu : Cpu.t;
+  program : Program.t;
+  hypervisor : Vmx.Hypervisor.t option;
+  plan : plan;
+}
 
-let verify_prepared p =
-  match policy_of_config p.cfg with
-  | None -> None
-  | Some policy ->
-    let kind =
-      match policy with
-      | Gate_analysis.Sfi_policy | Gate_analysis.Mpx_policy | Gate_analysis.Isboxing_policy ->
-        p.cfg.address_kind
-      | _ -> Instr.Reads_and_writes
-    in
-    Some (Gate_analysis.analyze ~kind ~policy p.program)
-
-let map_regions cpu regions =
-  List.iter
-    (fun (r : Safe_region.region) ->
-      Mmu.map_range cpu.Cpu.mmu ~va:r.Safe_region.va ~len:r.Safe_region.size ~writable:true)
-    regions
-
-(* Memory-resident setup (region mapping, page-table permissions, key
-   tables, encrypted images) is machine-wide and done once, on core 0.
-   Beside its instrumented items, each technique returns the register
-   half of its setup, replayed on every sibling core: MPX bounds, the
-   closed-by-default PKRU on the key core 0's setup assigned, crypt's
+(* What a technique is, to the pass and to the loader. [emit] rewrites
+   the lowered items; it needs only the config and the regions, never a
+   machine. [setup] installs the memory-resident half of the isolation on
+   core 0 (region mapping, page-table permissions, key tables, encrypted
+   images), once per machine; [sibling] replays the register half on
+   every other core: MPX bounds, the closed-by-default PKRU, crypt's
    in-ymm round keys. *)
-let instrument_core0 cpu cfg regions mitems =
+type row = {
+  policy : Gate_analysis.policy option;
+  emit :
+    Safe_region.region list -> Ir.Lower.mitem list -> Program.item list * Sitemap.t;
+  setup : Cpu.t -> Safe_region.region list -> Vmx.Hypervisor.t option;
+  sibling : Cpu.t -> unit;
+}
+
+let technique_row cfg =
   let technique = Technique.name cfg.technique in
-  let address_based check label =
+  let checks check label _regions mitems =
     Instr.address_based_sites ~check ~kind:cfg.address_kind ~technique ~label mitems
   in
-  let domain_based enter leave label =
+  let gates brackets label regions mitems =
+    let enter, leave = brackets regions in
     Instr.domain_based_sites ~enter ~leave ~policy:cfg.switch_policy ~technique ~label mitems
   in
+  let no_setup _ _ = None in
   match cfg.technique with
   | Technique.Sfi ->
-    Instr_sfi.setup cpu;
-    (address_based Instr_sfi.check "sfi-mask", None, ignore)
+    { policy = Some Gate_analysis.Sfi_policy; emit = checks Instr_sfi.check "sfi-mask";
+      setup = no_setup; sibling = ignore }
   | Technique.Mpx ->
-    Instr_mpx.setup cpu;
-    (address_based Instr_mpx.check "mpx-check", None, Instr_mpx.setup)
-  | Technique.Mpk protection ->
-    let st = Instr_mpk.setup cpu ~protection regions in
-    ( domain_based (Instr_mpk.enter st) (Instr_mpk.leave st) "wrpkru-pair",
-      None,
-      fun sibling -> Mpk.Pkey.close_default sibling ~key:(Instr_mpk.key st) ~protection )
-  | Technique.Vmfunc ->
-    let st = Instr_vmfunc.setup cpu regions in
-    ( domain_based Instr_vmfunc.enter Instr_vmfunc.leave "vmfunc-pair",
-      Some (Instr_vmfunc.hypervisor st),
-      ignore )
-  | Technique.Crypt ->
-    let key_location = cfg.crypt_keys and seed = cfg.crypt_seed in
-    let st = Instr_crypt.setup cpu ~key_location ~seed regions in
-    ( domain_based (Instr_crypt.enter st) (Instr_crypt.leave st) "aes-bracket",
-      None,
-      fun sibling -> Instr_crypt.install_keys sibling ~key_location ~seed () )
-  | Technique.Mprotect ->
-    let st = Instr_mprotect.setup cpu regions in
-    (domain_based (Instr_mprotect.enter st) (Instr_mprotect.leave st) "mprotect-pair", None, ignore)
+    { policy = Some Gate_analysis.Mpx_policy; emit = checks Instr_mpx.check "mpx-check";
+      setup = (fun cpu _ -> Instr_mpx.setup cpu; None); sibling = Instr_mpx.setup }
   | Technique.Isboxing ->
     (* Free truncation to 4 GiB; safe regions live above the 64 TiB split,
        far outside the reachable window. No machine setup needed. *)
-    (Instr.address_based_lea32_sites ~kind:cfg.address_kind ~technique mitems, None, ignore)
+    { policy = Some Gate_analysis.Isboxing_policy;
+      emit =
+        (fun _ mitems -> Instr.address_based_lea32_sites ~kind:cfg.address_kind ~technique mitems);
+      setup = no_setup; sibling = ignore }
+  | Technique.Mpk protection ->
+    { policy = Some (Gate_analysis.Mpk_policy protection);
+      emit = gates (fun _ -> (Instr_mpk.enter, Instr_mpk.leave ~protection)) "wrpkru-pair";
+      setup = (fun cpu regions -> Instr_mpk.setup cpu ~protection regions; None);
+      sibling = Instr_mpk.close ~protection }
+  | Technique.Vmfunc ->
+    { policy = Some Gate_analysis.Vmfunc_policy;
+      emit = gates (fun _ -> (Instr_vmfunc.enter, Instr_vmfunc.leave)) "vmfunc-pair";
+      setup = (fun cpu regions -> Some (Instr_vmfunc.setup cpu regions)); sibling = ignore }
+  | Technique.Crypt ->
+    let key_location = cfg.crypt_keys and seed = cfg.crypt_seed in
+    { policy = Some Gate_analysis.Crypt_policy;
+      emit = gates (Instr_crypt.brackets ~key_location) "aes-bracket";
+      setup = (fun cpu regions -> Instr_crypt.setup cpu ~key_location ~seed regions; None);
+      sibling = (fun cpu -> Instr_crypt.install_keys cpu ~key_location ~seed ()) }
+  | Technique.Mprotect ->
+    { policy = None;
+      emit =
+        gates (fun regions -> (Instr_mprotect.enter regions, Instr_mprotect.leave regions))
+          "mprotect-pair";
+      setup = (fun cpu regions -> Instr_mprotect.setup cpu regions; None); sibling = ignore }
   | Technique.Sgx ->
-    invalid_arg
-      "Framework.prepare: SGX isolation requires restructuring code into an enclave; use \
-       Sgx_sim.Enclave directly"
+    let refuse _ _ =
+      invalid_arg
+        "Framework: SGX isolation requires restructuring code into an enclave; use \
+         Sgx_sim.Enclave directly"
+    in
+    { policy = None; emit = refuse; setup = refuse; sibling = ignore }
 
-let create_machine vcpus =
-  if vcpus < 1 then invalid_arg "Framework.prepare: need at least one vCPU";
-  Machine.create ~vcpus ()
+let policy_of_config cfg = (technique_row cfg).policy
 
-(* Every sibling runs the same program as core 0. *)
-let load_siblings machine program setup =
-  for i = 1 to Machine.vcpus machine - 1 do
-    let cpu = Machine.cpu machine i in
-    Cpu.load_program cpu program;
-    setup cpu
-  done
+let emit cfg regions mitems = (technique_row cfg).emit regions mitems
 
-let prepare ?(vcpus = 1) ?(extra_regions = []) ?(verify = false) ?(optimize = false) cfg
-    (lowered : Ir.Lower.t) =
-  if vcpus > 1 && cfg.technique = Technique.Vmfunc then
-    invalid_arg
-      "Framework.prepare: VMFUNC runs on one vCPU only; the modeled hypervisor virtualizes a \
-       single CPU";
-  let machine = create_machine vcpus in
-  let cpu = Machine.cpu machine 0 in
-  Ir.Lower.setup_memory cpu lowered;
+let instrument ?(extra_regions = []) ?(optimize = false) cfg (lowered : Ir.Lower.t) =
+  let row = technique_row cfg in
   let regions = Safe_region.of_sensitive_globals lowered @ extra_regions in
-  map_regions cpu extra_regions;
   let mitems = lowered.Ir.Lower.mitems in
-  let (items, sitemap), hypervisor, sibling_setup = instrument_core0 cpu cfg regions mitems in
+  let items, sitemap = row.emit regions mitems in
   let items, sitemap, opt_stats =
-    if not optimize then (items, sitemap, None)
-    else
-      match policy_of_config cfg with
-      | None -> (items, sitemap, None)
-      | Some policy ->
-        let kind =
-          match policy with
-          | Gate_analysis.Sfi_policy | Gate_analysis.Mpx_policy | Gate_analysis.Isboxing_policy
-            ->
-            cfg.address_kind
-          | _ -> Instr.Reads_and_writes
-        in
-        let r = Gate_opt.optimize ~policy ~kind items sitemap in
-        Log.info (fun m ->
-            m "optimized %s: %a" (Technique.name cfg.technique) Gate_opt.pp_stats
-              r.Gate_opt.stats);
-        (r.Gate_opt.items, r.Gate_opt.sitemap, Some r.Gate_opt.stats)
+    match row.policy with
+    | Some policy when optimize ->
+      let r = Gate_opt.optimize ~policy ~kind:cfg.address_kind items sitemap in
+      Log.info (fun m ->
+          m "optimized %s: %a" (Technique.name cfg.technique) Gate_opt.pp_stats
+            r.Gate_opt.stats);
+      (r.Gate_opt.items, r.Gate_opt.sitemap, Some r.Gate_opt.stats)
+    | Some _ | None -> (items, sitemap, None)
   in
   let program = Program.assemble items in
   Log.info (fun m ->
-      m "prepared %s: %d regions, %d instructions (%d before instrumentation)"
+      m "instrumented %s: %d regions, %d instructions (%d before instrumentation)"
         (Technique.name cfg.technique) (List.length regions) (Program.length program)
         (List.length mitems));
-  Cpu.load_program cpu program;
-  load_siblings machine program sibling_setup;
-  let p = { machine; cpu; program; regions; hypervisor; cfg; sitemap; opt_stats } in
-  if verify then
-    (match verify_prepared p with
-    | Some { Gate_analysis.violations = _ :: _ as vs; _ } ->
-      invalid_arg
-        (Format.asprintf "Framework.prepare: instrumented output failed verification:@.%a"
-           (Format.pp_print_list (fun fmt (v : Gate_analysis.finding) ->
-                Format.fprintf fmt "  @%d  %s  (%s)" v.index v.insn v.reason))
-           vs)
-    | Some _ | None -> ());
-  p
+  { cfg; regions; program; sitemap; opt_stats }
 
-let prepare_baseline (lowered : Ir.Lower.t) =
-  let machine = Machine.create () in
+let verify plan =
+  Option.map
+    (fun policy -> Gate_analysis.analyze ~kind:plan.cfg.address_kind ~policy plan.program)
+    (policy_of_config plan.cfg)
+
+let verify_prepared p = verify p.plan
+
+let load ?(vcpus = 1) (lowered : Ir.Lower.t) plan =
+  if vcpus < 1 then invalid_arg "Framework.load: need at least one vCPU";
+  if vcpus > 1 && plan.cfg.technique = Technique.Vmfunc then
+    invalid_arg
+      "Framework.load: VMFUNC runs on one vCPU only; the modeled hypervisor virtualizes a single \
+       CPU";
+  let row = technique_row plan.cfg in
+  let machine = Machine.create ~vcpus () in
   let cpu = Machine.cpu machine 0 in
   Ir.Lower.setup_memory cpu lowered;
-  let program = Ir.Lower.assemble lowered in
-  Cpu.load_program cpu program;
-  {
-    machine;
-    cpu;
-    program;
-    regions = Safe_region.of_sensitive_globals lowered;
-    hypervisor = None;
-    cfg = config Technique.Sfi;
-    sitemap = Sitemap.create ();
-    opt_stats = None;
-  }
+  (* The regions past the lowered module's own sensitive globals are the
+     extra ones, allocated elsewhere: map them on this machine. *)
+  let n_globals = List.length (Safe_region.of_sensitive_globals lowered) in
+  List.iteri
+    (fun i (r : Safe_region.region) ->
+      if i >= n_globals then
+        Mmu.map_range cpu.Cpu.mmu ~va:r.Safe_region.va ~len:r.Safe_region.size ~writable:true)
+    plan.regions;
+  let hypervisor = row.setup cpu plan.regions in
+  (* Every core runs the same program. *)
+  Cpu.load_program cpu plan.program;
+  for i = 1 to vcpus - 1 do
+    let sibling = Machine.cpu machine i in
+    Cpu.load_program sibling plan.program;
+    row.sibling sibling
+  done;
+  { machine; cpu; program = plan.program; hypervisor; plan }
+
+let prepare ?vcpus ?extra_regions ?optimize cfg lowered =
+  load ?vcpus lowered (instrument ?extra_regions ?optimize cfg lowered)
+
+(* The baseline's config is never instrumented with: SFI's loader set-up
+   is empty, so [load] builds the plain machine. *)
+let prepare_baseline (lowered : Ir.Lower.t) =
+  load lowered
+    {
+      cfg = config Technique.Sfi;
+      regions = Safe_region.of_sensitive_globals lowered;
+      program = Ir.Lower.assemble lowered;
+      sitemap = Sitemap.create ();
+      opt_stats = None;
+    }
 
 let run ?fuel p = Machine.run ?fuel p.machine
 

@@ -87,9 +87,9 @@ val analyze :
     above it are the safe partition. [bnd0_upper] is the bound the loader
     puts in bnd0 (default [split - 1]; must be [< split] for MPX —
     [Invalid_argument] otherwise). [kind] restricts which accesses the
-    address-based policies must confine (default all). [mpk_key] is the
-    protection key guarding the safe region (default 1, matching
-    {!Instr_mpk.setup}).
+    address-based policies must confine (default all); the domain-based
+    policies never read it. [mpk_key] is the protection key guarding the
+    safe region (default 1, matching {!Instr_mpk.key}).
 
     Violations are fatal soundness holes. Lints are non-fatal findings:
     unreachable (gate) code, gates held open across loop back-edges, and

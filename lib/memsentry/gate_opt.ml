@@ -228,10 +228,7 @@ let recover_sites ~policy (code : Insn.t array) (sm : Sitemap.t) =
 
 let optimize ?split ?bnd0_upper ?mpk_key ~policy ~kind (items : Program.item list)
     (sm : Sitemap.t) =
-  let akind = if address_based policy then kind else Instr.Reads_and_writes in
-  let analyze prog =
-    Gate_analysis.analyze ?split ?bnd0_upper ~kind:akind ?mpk_key ~policy prog
-  in
+  let analyze prog = Gate_analysis.analyze ?split ?bnd0_upper ~kind ?mpk_key ~policy prog in
   let prog = Program.assemble items in
   let code = Program.code prog in
   let n = Array.length code in
@@ -240,7 +237,7 @@ let optimize ?split ?bnd0_upper ?mpk_key ~policy ~kind (items : Program.item lis
   let spans = pcfg.Ir.Cfg.spans in
   let block_of i = pcfg.Ir.Cfg.block_of.(i) in
   let pre_report = analyze prog in
-  let sol = Gate_analysis.solve_program ?split ?bnd0_upper ~kind:akind ?mpk_key ~policy pcfg in
+  let sol = Gate_analysis.solve_program ?split ?bnd0_upper ~kind ?mpk_key ~policy pcfg in
   (* Per-instruction in-states from the solved fixpoint. *)
   let in_state = Array.make (max n 1) None in
   for b = 0 to g.Ir.Cfg.nnodes - 1 do

@@ -59,7 +59,8 @@ val optimize :
   result
 (** [optimize ~policy ~kind items sm] optimizes an instrumented item
     stream. [kind] must match the instrumentation ([Instr.access_kind]
-    used to insert the checks); analysis parameters default as in
+    used to insert the checks; domain-based policies ignore it); analysis
+    parameters default as in
     {!Gate_analysis.analyze}. The input items are not modified (the
     result shares unchanged instructions). *)
 

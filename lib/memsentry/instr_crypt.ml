@@ -2,17 +2,9 @@ open X86sim
 
 type key_location = Ymm_high | Key_table
 
-type t = {
-  regions : Safe_region.region list;
-  keys : Aesni.Aes.block array;
-  key_location : key_location;
-}
-
 (* Where the insecure Key_table variant parks the schedule (nonsensitive
    partition, 16-byte aligned). *)
 let key_table_va = 0x28_0000_0000
-
-let round_key_regs = (4, 14)
 
 let key_reg r = 4 + r (* ymm high half holding round key r *)
 let work_reg r = 2 + r (* xmm2-12: per-switch working copy of round key r *)
@@ -59,27 +51,40 @@ let per_region per_block (r : Safe_region.region) =
   Insn.Mov_ri (addr, r.Safe_region.va)
   :: List.concat (List.init (r.Safe_region.size / 16) (fun b -> per_block (16 * b)))
 
-let enter t =
-  prep_keys t.key_location ~for_decrypt:true
-  @ List.concat_map (per_region decrypt_block) t.regions
-
-let leave t =
-  prep_keys t.key_location ~for_decrypt:false
-  @ List.concat_map (per_region encrypt_block) t.regions
-
-let setup cpu ?(key_location = Ymm_high) ~seed regions =
+(* The brackets walk each region in 16-byte blocks; a region they cannot
+   cover exactly is refused before any code is emitted or memory touched. *)
+let check_regions who regions =
   List.iter
     (fun (r : Safe_region.region) ->
       if r.Safe_region.size mod 16 <> 0 then
-        invalid_arg "Instr_crypt.setup: region size must be a multiple of 16";
-      if r.Safe_region.va mod 16 <> 0 then
-        invalid_arg "Instr_crypt.setup: region must be 16-byte aligned")
-    regions;
+        invalid_arg (who ^ ": region size must be a multiple of 16");
+      if r.Safe_region.va mod 16 <> 0 then invalid_arg (who ^ ": region must be 16-byte aligned"))
+    regions
+
+let brackets ?(key_location = Ymm_high) regions =
+  check_regions "Instr_crypt.brackets" regions;
+  ( prep_keys key_location ~for_decrypt:true @ List.concat_map (per_region decrypt_block) regions,
+    prep_keys key_location ~for_decrypt:false @ List.concat_map (per_region encrypt_block) regions
+  )
+
+let key_schedule ~seed =
   let prng = Ms_util.Prng.create ~seed in
   let keyb = Bytes.create 16 in
   Bytes.set_int64_le keyb 0 (Ms_util.Prng.next_int64 prng);
   Bytes.set_int64_le keyb 8 (Ms_util.Prng.next_int64 prng);
-  let keys = Aesni.Aes.expand_key keyb in
+  Aesni.Aes.expand_key keyb
+
+(* [Ymm_high] keys are register state, so every core needs its own copy
+   (recomputed from the seed); a [Key_table] lives in shared memory and is
+   written once by core 0's [setup]. *)
+let install_keys cpu ?(key_location = Ymm_high) ~seed () =
+  match key_location with
+  | Key_table -> ()
+  | Ymm_high -> Array.iteri (fun r k -> Cpu.set_ymm_high cpu (key_reg r) k) (key_schedule ~seed)
+
+let setup cpu ?(key_location = Ymm_high) ~seed regions =
+  check_regions "Instr_crypt.setup" regions;
+  let keys = key_schedule ~seed in
   (match key_location with
   | Ymm_high -> Array.iteri (fun r k -> Cpu.set_ymm_high cpu (key_reg r) k) keys
   | Key_table ->
@@ -90,23 +95,4 @@ let setup cpu ?(key_location = Ymm_high) ~seed regions =
     (fun (r : Safe_region.region) ->
       let plain = Mmu.peek_bytes cpu.Cpu.mmu ~va:r.Safe_region.va ~len:r.Safe_region.size in
       Mmu.poke_bytes cpu.Cpu.mmu ~va:r.Safe_region.va (Aesni.Aes.encrypt_bytes ~key:keys plain))
-    regions;
-  { regions; keys; key_location }
-
-let key_schedule t = t.keys
-
-(* Install the round keys on a sibling core of an already-[setup] machine.
-   [Ymm_high] keys are register state, so every core needs its own copy
-   (recomputed from the seed); a [Key_table] lives in shared memory and
-   the regions were already encrypted once by core 0's [setup] — re-running
-   [setup] would double-encrypt them. *)
-let install_keys cpu ?(key_location = Ymm_high) ~seed () =
-  match key_location with
-  | Key_table -> ()
-  | Ymm_high ->
-    let prng = Ms_util.Prng.create ~seed in
-    let keyb = Bytes.create 16 in
-    Bytes.set_int64_le keyb 0 (Ms_util.Prng.next_int64 prng);
-    Bytes.set_int64_le keyb 8 (Ms_util.Prng.next_int64 prng);
-    let keys = Aesni.Aes.expand_key keyb in
-    Array.iteri (fun r k -> Cpu.set_ymm_high cpu (key_reg r) k) keys
+    regions

@@ -17,8 +17,6 @@
     Regions must be 16-byte-sized/aligned ({!Safe_region.alloc} enforces
     this). *)
 
-type t
-
 type key_location =
   | Ymm_high  (** round keys in ymm4-14 upper halves (the secure default) *)
   | Key_table
@@ -27,9 +25,11 @@ type key_location =
           the key); kept for the ablation benchmark *)
 
 val setup :
-  X86sim.Cpu.t -> ?key_location:key_location -> seed:int -> Safe_region.region list -> t
+  X86sim.Cpu.t -> ?key_location:key_location -> seed:int -> Safe_region.region list -> unit
 (** Derive a key from [seed], install round keys per [key_location]
-    (default [Ymm_high]), and encrypt every region in place (loader-side). *)
+    (default [Ymm_high]), and encrypt every region in place (loader-side).
+    Raises [Invalid_argument] for a region that is not 16-byte sized and
+    aligned. *)
 
 val install_keys : X86sim.Cpu.t -> ?key_location:key_location -> seed:int -> unit -> unit
 (** Install the same round keys on a sibling core of a machine already
@@ -37,15 +37,12 @@ val install_keys : X86sim.Cpu.t -> ?key_location:key_location -> seed:int -> uni
     are recomputed from [seed]; [Key_table] is shared memory, so this is a
     no-op. Never re-encrypts the regions. *)
 
-val enter : t -> X86sim.Insn.t list
-(** Stage (and aesimc-transform) the round keys in xmm2-12, then decrypt
-    all regions in place. Clobbers xmm0-12 and r12/r13. *)
-
-val leave : t -> X86sim.Insn.t list
-(** Stage keys and re-encrypt all regions in place. Same clobbers. *)
-
-val round_key_regs : int * int
-(** [(4, 14)]: ymm registers whose high halves hold round keys 0..10. *)
-
-val key_schedule : t -> Aesni.Aes.block array
-(** The expanded key (tests only; a real deployment never exposes it). *)
+val brackets :
+  ?key_location:key_location -> Safe_region.region list -> X86sim.Insn.t list * X86sim.Insn.t list
+(** [(enter, leave)] for these regions, with round keys fetched per
+    [key_location] (default [Ymm_high]). [enter] stages (and
+    aesimc-transforms) the round keys in xmm2-12, then decrypts every
+    region in place; [leave] stages them and re-encrypts. Both clobber
+    xmm0-12 and r12/r13. Needs no machine: the sequences depend only on
+    the regions and where the keys live. Raises [Invalid_argument] for a
+    region that is not 16-byte sized and aligned. *)

@@ -1,15 +1,14 @@
-type t = { key : int; protection : Mpk.Pkey.protection }
+let key = 1
 
-let setup cpu ?(key = 1) ~protection regions =
+let close cpu ~protection = Mpk.Pkey.close_default cpu ~key ~protection
+
+let setup cpu ~protection regions =
   List.iter
     (fun (r : Safe_region.region) ->
       Mpk.Pkey.assign cpu ~va:r.Safe_region.va ~len:r.Safe_region.size ~key)
     regions;
-  Mpk.Pkey.close_default cpu ~key ~protection;
-  { key; protection }
+  close cpu ~protection
 
-let enter _t = Mpk.Pkey.open_seq_preserving
+let enter = Mpk.Pkey.open_seq_preserving
 
-let leave t = Mpk.Pkey.close_seq_preserving ~key:t.key ~protection:t.protection
-
-let key t = t.key
+let leave ~protection = Mpk.Pkey.close_seq_preserving ~key ~protection

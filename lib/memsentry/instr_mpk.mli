@@ -8,16 +8,19 @@
     confidentiality + integrity, [Read_only] for integrity-only defenses
     such as shadow stacks. *)
 
-type t
+val key : int
+(** The protection key every safe region is tagged with: [1]. *)
 
 val setup :
-  X86sim.Cpu.t -> ?key:int -> protection:Mpk.Pkey.protection ->
-  Safe_region.region list -> t
-(** Tag all regions with [key] (default 1) and close the domain. *)
+  X86sim.Cpu.t -> protection:Mpk.Pkey.protection -> Safe_region.region list -> unit
+(** Tag all regions with {!key} (page tables, machine-wide) and {!close}
+    the domain on this core. *)
 
-val enter : t -> X86sim.Insn.t list
+val close : X86sim.Cpu.t -> protection:Mpk.Pkey.protection -> unit
+(** Close the domain in this core's [pkru] — the per-core half of
+    {!setup}, replayed on every sibling core. *)
+
+val enter : X86sim.Insn.t list
 (** Open the sensitive domain (register-preserving wrpkru sequence). *)
 
-val leave : t -> X86sim.Insn.t list
-
-val key : t -> int
+val leave : protection:Mpk.Pkey.protection -> X86sim.Insn.t list

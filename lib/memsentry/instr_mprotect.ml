@@ -1,8 +1,6 @@
 open X86sim
 open Ms_util
 
-type t = { regions : Safe_region.region list }
-
 let mapped_len (r : Safe_region.region) = Bitops.align_up Physmem.page_size r.Safe_region.size
 
 let mprotect_seq (r : Safe_region.region) ~prot =
@@ -27,8 +25,7 @@ let setup cpu regions =
     (fun (r : Safe_region.region) ->
       Mmu.protect_range cpu.Cpu.mmu ~va:r.Safe_region.va ~len:(mapped_len r) ~readable:false
         ~writable:false)
-    regions;
-  { regions }
+    regions
 
-let enter t = List.concat_map (fun r -> mprotect_seq r ~prot:3) t.regions
-let leave t = List.concat_map (fun r -> mprotect_seq r ~prot:0) t.regions
+let enter regions = List.concat_map (fun r -> mprotect_seq r ~prot:3) regions
+let leave regions = List.concat_map (fun r -> mprotect_seq r ~prot:0) regions

@@ -6,13 +6,11 @@
     quotes 20-50x slowdowns for this strategy, which the [extras]
     benchmark reproduces. *)
 
-type t
-
-val setup : X86sim.Cpu.t -> Safe_region.region list -> t
+val setup : X86sim.Cpu.t -> Safe_region.region list -> unit
 (** Map the regions PROT_NONE. *)
 
-val enter : t -> X86sim.Insn.t list
+val enter : Safe_region.region list -> X86sim.Insn.t list
 (** mprotect(PROT_READ|PROT_WRITE) each region; preserves registers. *)
 
-val leave : t -> X86sim.Insn.t list
+val leave : Safe_region.region list -> X86sim.Insn.t list
 (** mprotect(PROT_NONE) each region. *)

@@ -5,5 +5,3 @@ let check reg =
     Insn.Mov_ri (Ir.Lower.scratch2, Layout.sfi_mask);
     Insn.Alu_rr (Insn.And, reg, Ir.Lower.scratch2);
   ]
-
-let setup _cpu = ()

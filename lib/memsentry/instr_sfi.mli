@@ -9,6 +9,3 @@
 
 val check : X86sim.Reg.gpr -> X86sim.Insn.t list
 (** [movabs r13, 0x3fffffffffff; and reg, r13]. *)
-
-val setup : X86sim.Cpu.t -> unit
-(** Nothing to do (software only); present for interface uniformity. *)

@@ -1,7 +1,5 @@
 open X86sim
 
-type t = { hv : Vmx.Hypervisor.t }
-
 let preserving seq =
   [ Insn.Push Reg.rax; Insn.Push Reg.rcx ] @ seq @ [ Insn.Pop Reg.rcx; Insn.Pop Reg.rax ]
 
@@ -16,6 +14,4 @@ let setup cpu regions =
         ~ept:Vmx.Sandbox.sensitive_ept)
     regions;
   Vmx.Sandbox.prefault_all hv;
-  { hv }
-
-let hypervisor t = t.hv
+  hv

@@ -7,14 +7,11 @@
     [vmfunc] — no VM exit — but the process pays the sandbox tax: every
     syscall becomes a hypercall. *)
 
-type t
-
-val setup : X86sim.Cpu.t -> Safe_region.region list -> t
-(** Raises [Invalid_argument] if the CPU is already virtualized. *)
+val setup : X86sim.Cpu.t -> Safe_region.region list -> Vmx.Hypervisor.t
+(** Returns the hypervisor that now runs the CPU. Raises
+    [Invalid_argument] if the CPU is already virtualized. *)
 
 val enter : X86sim.Insn.t list
 (** Switch to the sensitive EPT (preserves rax/rcx via the stack). *)
 
 val leave : X86sim.Insn.t list
-
-val hypervisor : t -> Vmx.Hypervisor.t

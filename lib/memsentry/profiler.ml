@@ -92,7 +92,8 @@ let on_event t ev =
 
 let attach (p : Framework.prepared) =
   let cpu = p.Framework.cpu in
-  let sm = p.Framework.sitemap in
+  let plan = p.Framework.plan in
+  let sm = plan.Framework.sitemap in
   let stats =
     Array.of_list
       (List.map
@@ -100,15 +101,15 @@ let attach (p : Framework.prepared) =
            { site; crossings = 0; checks = 0; cycles = 0.0; tlb_misses = 0; cache_misses = 0; faults = 0 })
          (Sitemap.sites sm))
   in
-  let map = Sitemap.class_map sm ~code_length:(Program.length p.Framework.program) in
+  let map = Sitemap.class_map sm ~code_length:(Program.length plan.Framework.program) in
   let t =
     {
       prepared = p;
       stats;
       app = { r_cycles = 0.0; r_tlb_misses = 0; r_cache_misses = 0; r_faults = 0 };
       span_rec = Tracer.record_spans cpu;
-      synthetic = injects_seq_gates p.Framework.cfg.Framework.technique;
-      technique = Technique.name p.Framework.cfg.Framework.technique;
+      synthetic = injects_seq_gates plan.Framework.cfg.Framework.technique;
+      technique = Technique.name plan.Framework.cfg.Framework.technique;
       map;
       class_cycles = Array.make (Array.length stats + 1) 0.0;
       now = [| Cpu.cycles cpu |];
@@ -145,7 +146,7 @@ let overhead_cycles t = Array.fold_left (fun acc r -> acc +. r.cycles) 0.0 t.sta
 let spans t = Tracer.spans t.span_rec
 let unmatched_exits t = Tracer.unmatched_exits t.span_rec
 
-let site_of_rip t rip = Sitemap.lookup t.prepared.Framework.sitemap rip
+let site_of_rip t rip = Sitemap.lookup t.prepared.Framework.plan.Framework.sitemap rip
 
 let metrics t =
   let reg = Ms_util.Metrics.registry () in

@@ -164,10 +164,10 @@ let prop_no_secret_escapes =
       Mmu.poke64 cpu.Cpu.mmu ~va:(region.Memsentry.Safe_region.va + offset) planted;
       let gadget = ref Attacks.Primitives.Raw in
       (match tech_idx with
-      | 0 -> ignore (Memsentry.Instr_mpk.setup cpu ~protection:Mpk.Pkey.No_access [ region ])
+      | 0 -> Memsentry.Instr_mpk.setup cpu ~protection:Mpk.Pkey.No_access [ region ]
       | 1 -> ignore (Memsentry.Instr_vmfunc.setup cpu [ region ])
-      | 2 -> ignore (Memsentry.Instr_crypt.setup cpu ~seed:slot [ region ])
-      | 3 -> ignore (Memsentry.Instr_mprotect.setup cpu [ region ])
+      | 2 -> Memsentry.Instr_crypt.setup cpu ~seed:slot [ region ]
+      | 3 -> Memsentry.Instr_mprotect.setup cpu [ region ]
       | 4 ->
         Memsentry.Instr_mpx.setup cpu;
         gadget := Attacks.Primitives.Mpx_checked

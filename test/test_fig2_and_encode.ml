@@ -73,12 +73,12 @@ let test_encode_in_valid_x86_range () =
   (* Every instruction must encode within x86's hard 15-byte limit.
      Exercise across the whole ISA via a lowered workload. *)
   let lowered = Workloads.Synth.lowered ~iterations:2 (Workloads.Spec2006.find "milc") in
-  let p = Framework.prepare (Framework.config Technique.Crypt) lowered in
+  let plan = Framework.instrument (Framework.config Technique.Crypt) lowered in
   Array.iter
     (fun i ->
       let b = Encode.insn_bytes i in
       Alcotest.(check bool) (Insn.to_string_named i) true (b >= 1 && b <= 28))
-    (Program.code p.Framework.program)
+    (Program.code plan.Framework.program)
 
 let test_instrumentation_grows_text () =
   let lowered = Workloads.Synth.lowered ~iterations:2 (Workloads.Spec2006.find "gcc") in

@@ -280,8 +280,7 @@ let prop_framework_output_verifies =
       List.for_all
         (fun cfg ->
           let lowered = Ir.Lower.lower (Test_differential.build_program ~sensitive:false r) in
-          let p = Framework.prepare ~verify:true cfg lowered in
-          match Framework.verify_prepared p with
+          match Framework.verify (Framework.instrument cfg lowered) with
           | None -> false
           | Some report -> report.Gate_analysis.violations = [])
         all_verifiable_techniques)
@@ -295,8 +294,7 @@ let prop_audit_surface_is_safe_accesses =
       List.for_all
         (fun cfg ->
           let lowered = Ir.Lower.lower (Test_differential.build_program r) in
-          let p = Framework.prepare cfg lowered in
-          match Framework.verify_prepared p with
+          match Framework.verify (Framework.instrument cfg lowered) with
           | None -> false
           | Some report -> (
             match cfg.Framework.technique with
@@ -309,6 +307,48 @@ let prop_audit_surface_is_safe_accesses =
                      String.sub f.reason 0 17 = "unverified-access")
                    report.Gate_analysis.violations))
         all_verifiable_techniques)
+
+(* Domain-based policies never read the access kind, so Framework,
+   Gate_opt and the CLI pass the config's [address_kind] through
+   unnormalized: over the SPEC corpus, each domain-based build reports
+   the same under every kind. The SPEC builds touch no safe region, so
+   each profile is also checked with a shadow stack left ungated, whose
+   pushes and pops are closed-gate stores and loads. *)
+let test_domain_policies_ignore_kind () =
+  let cfgs =
+    List.map
+      (Framework.config ~switch_policy:Instr.At_call_ret)
+      [ Technique.Mpk Mpk.Pkey.No_access; Technique.Vmfunc; Technique.Crypt ]
+  in
+  let region_va = Layout.sensitive_base + 0x1000_0000 in
+  let gates = ref 0 and violations = ref 0 in
+  let same_under_every_kind what policy prog =
+    let at kind = Gate_analysis.analyze ~kind ~policy prog in
+    let rw = at Instr.Reads_and_writes in
+    gates := !gates + rw.Gate_analysis.stats.Gate_analysis.proven_gates;
+    violations := !violations + List.length rw.Gate_analysis.violations;
+    List.iter
+      (fun (name, kind) ->
+        if at kind <> rw then
+          Alcotest.failf "%s: ~kind:%s reports differently from Reads_and_writes" what name)
+      [ ("Reads", Instr.Reads); ("Writes", Instr.Writes) ]
+  in
+  List.iter
+    (fun prof ->
+      let lowered = Workloads.Synth.lowered ~iterations:2 prof in
+      let ungated = Ir.Lower.assemble (Defenses.Shadow_stack.apply ~region_va lowered) in
+      List.iter
+        (fun cfg ->
+          let what =
+            Technique.name cfg.Framework.technique ^ " on " ^ prof.Workloads.Profile.name
+          in
+          let policy = Option.get (Framework.policy_of_config cfg) in
+          same_under_every_kind what policy (Framework.instrument cfg lowered).Framework.program;
+          same_under_every_kind (what ^ " (ungated shadow stack)") policy ungated)
+        cfgs)
+    Workloads.Spec2006.all;
+  Alcotest.(check bool) "gates were analyzed" true (!gates > 0);
+  Alcotest.(check bool) "violations were analyzed" true (!violations > 0)
 
 let suite =
   [
@@ -337,4 +377,6 @@ let suite =
     Alcotest.test_case "IR annotation lints" `Quick test_lint_module_annotations;
     QCheck_alcotest.to_alcotest prop_framework_output_verifies;
     QCheck_alcotest.to_alcotest prop_audit_surface_is_safe_accesses;
+    Alcotest.test_case "domain policies ignore the access kind" `Quick
+      test_domain_policies_ignore_kind;
   ]

@@ -216,7 +216,7 @@ let test_shadow_stack_coalescing () =
   in
   let p0 = build false and p1 = build true in
   let coalesced =
-    match p1.Framework.opt_stats with
+    match p1.Framework.plan.Framework.opt_stats with
     | Some s -> s.Gate_opt.coalesced_pairs
     | None -> Alcotest.fail "no opt stats on optimized build"
   in
@@ -224,7 +224,7 @@ let test_shadow_stack_coalescing () =
   Alcotest.(check bool) "fewer domain switches" true
     (p1.Framework.cpu.Cpu.counters.Cpu.wrpkrus < p0.Framework.cpu.Cpu.counters.Cpu.wrpkrus);
   (* The merged windows must still verify: no new violation classes. *)
-  match Framework.verify_prepared p1 with
+  match Framework.verify p1.Framework.plan with
   | None -> Alcotest.fail "no policy for MPK config"
   | Some r -> Alcotest.(check int) "verifies clean" 0 (List.length r.Gate_analysis.violations)
 
@@ -269,7 +269,8 @@ let test_cost_model_vs_profiler () =
     (fun cfg ->
       let profiler, _ = Workloads.Runner.profile ~iterations:2 ~optimize:true prof cfg in
       let p = Workloads.Runner.prepare_instrumented ~iterations:2 ~optimize:true prof cfg in
-      let model = Cost_model.predict p.Framework.program p.Framework.sitemap in
+      let plan = p.Framework.plan in
+      let model = Cost_model.predict plan.Framework.program plan.Framework.sitemap in
       let v = Cost_model.validate model profiler in
       Alcotest.(check bool) "within bounds" true v.Cost_model.ok;
       Alcotest.(check int) "no violations" 0 v.Cost_model.n_violated)
@@ -287,7 +288,7 @@ let test_corpus_optimizes_clean () =
       List.iter
         (fun prof ->
           let p = Workloads.Runner.prepare_instrumented ~iterations:2 ~optimize:true prof cfg in
-          match Framework.verify_prepared p with
+          match Framework.verify p.Framework.plan with
           | None -> ()
           | Some r ->
             Alcotest.(check int)

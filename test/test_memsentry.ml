@@ -327,10 +327,16 @@ let test_crypt_granularity_matches_table3 () =
   ignore a;
   (* regions not multiple of 16 are rejected by the allocator (tested above),
      and Instr_crypt rejects foreign unaligned regions: *)
+  let unaligned = { Safe_region.va = Layout.sensitive_base + 8; size = 24 } in
   Alcotest.(check bool) "crypt rejects unaligned" true
     (try
-       ignore
-         (Instr_crypt.setup cpu ~seed:1 [ { Safe_region.va = Layout.sensitive_base + 8; size = 24 } ]);
+       Instr_crypt.setup cpu ~seed:1 [ unaligned ];
+       false
+     with Invalid_argument _ -> true);
+  (* ... and so do its brackets, before any code is emitted. *)
+  Alcotest.(check bool) "crypt brackets reject unaligned" true
+    (try
+       ignore (Instr_crypt.brackets [ unaligned ]);
        false
      with Invalid_argument _ -> true)
 

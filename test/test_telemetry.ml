@@ -378,16 +378,10 @@ let hand_prepared ?(setup = fun _ -> ()) tech ~gate items =
   let sitemap = Sitemap.create () in
   let site = Sitemap.new_site sitemap ~label:"gate" ~technique:(Technique.name tech) ~orig_rip:0 in
   List.iter (fun rip -> Sitemap.tag sitemap ~rip ~site ~role:Sitemap.Gate_open) gate;
-  {
-    Framework.machine;
-    cpu;
-    program;
-    regions = [];
-    hypervisor = None;
-    cfg = Framework.config tech;
-    sitemap;
-    opt_stats = None;
-  }
+  let plan =
+    { Framework.cfg = Framework.config tech; regions = []; program; sitemap; opt_stats = None }
+  in
+  { Framework.machine; cpu; program; hypervisor = None; plan }
 
 (* A fault in the middle of a gate range, skipped by the fault handler:
    execution re-enters the range after the faulting instruction, which is
