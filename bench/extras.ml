@@ -41,8 +41,7 @@ let crypt_scaling () =
         Workloads.Runner.run_baseline ~iterations:!Bench_common.iterations prof
       in
       let lowered =
-        Workloads.Synth.lowered ~iterations:!Bench_common.iterations ~region_size:size
-          ~xmm_pool:Ir.Lower.crypt_xmm_pool prof
+        Workloads.Runner.lowered ~iterations:!Bench_common.iterations ~region_size:size prof cfg
       in
       let p = Framework.prepare cfg lowered in
       (match Framework.run p with

@@ -28,7 +28,7 @@ let run () =
       and lints = ref 0 in
       List.iter
         (fun prof ->
-          let lowered = Workloads.Synth.lowered ~iterations:!Bench_common.iterations prof in
+          let lowered = Workloads.Runner.lowered ~iterations:!Bench_common.iterations prof cfg in
           match Framework.verify (Framework.instrument cfg lowered) with
           | None -> ()
           | Some r ->

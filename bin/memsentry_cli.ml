@@ -334,8 +334,7 @@ let run_cmd =
       (inst.Workloads.Runner.cycles /. base.Workloads.Runner.cycles);
     if stats then begin
       (* Re-run the instrumented build and dump its machine-level summary. *)
-      let lowered = Workloads.Synth.lowered ~iterations prof in
-      let p = Framework.prepare cfg lowered in
+      let p = Workloads.Runner.prepare_instrumented ~iterations prof cfg in
       ignore (Framework.run p);
       print_endline "--- instrumented run ---";
       X86sim.Perf_report.print p.Framework.cpu
@@ -451,12 +450,14 @@ let profile_cmd =
 let disasm_cmd =
   let run bench technique kind lines =
     let prof = find_bench bench in
-    let lowered = Workloads.Synth.lowered ~iterations:2 prof in
     let text =
       match technique with
-      | None -> X86sim.Asm.print_items (Instr.strip lowered.Ir.Lower.mitems)
+      | None ->
+        let lowered = Workloads.Synth.lowered ~iterations:2 prof in
+        X86sim.Asm.print_items (Instr.strip lowered.Ir.Lower.mitems)
       | Some t ->
-        let plan = Framework.instrument (Framework.config ~address_kind:kind t) lowered in
+        let cfg = Framework.config ~address_kind:kind t in
+        let plan = Framework.instrument cfg (Workloads.Runner.lowered ~iterations:2 prof cfg) in
         X86sim.Asm.print_program plan.Framework.program
     in
     let all = String.split_on_char '\n' text in
@@ -529,7 +530,7 @@ let verify_cmd =
       | Some file, _ -> (file, X86sim.Asm.parse_program (read_file file))
       | None, Some bench ->
         let prof = find_bench bench in
-        let lowered = Workloads.Synth.lowered ~iterations prof in
+        let lowered = Workloads.Runner.lowered ~iterations prof cfg in
         (prof.Workloads.Profile.name, (Framework.instrument cfg lowered).Framework.program)
       | None, None ->
         Printf.eprintf "verify: name a benchmark or pass --asm FILE\n";

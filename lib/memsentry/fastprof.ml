@@ -37,10 +37,9 @@ let row_cycles r = Array.fold_left ( +. ) 0.0 r.fp_classes
 
 let total_cycles t = List.fold_left (fun a r -> a +. row_cycles r) 0.0 t.p_rows
 
-let capture_cpu ?workload ~technique (sm : Sitemap.t) (cpu : Cpu.t) =
+let rows (sm : Sitemap.t) (cpu : Cpu.t) =
   let pipe = cpu.Cpu.pipe in
   let cpi = Pipeline.cpi_rows pipe in
-  let n_rows = Pipeline.cpi_row_count pipe in
   let row_of i =
     let classes =
       Array.init Pipeline.cls_count (fun c -> cpi.((i * Pipeline.cls_count) + c))
@@ -55,13 +54,16 @@ let capture_cpu ?workload ~technique (sm : Sitemap.t) (cpu : Cpu.t) =
         fp_classes = classes;
       }
   in
+  List.init (Pipeline.cpi_row_count pipe) row_of
+
+let capture_cpu ?workload ~technique (sm : Sitemap.t) (cpu : Cpu.t) =
   let cache = cpu.Cpu.mmu.Mmu.cache in
   {
     p_workload = (match workload with Some w -> w | None -> "");
     p_technique = technique;
     p_cycles = Cpu.cycles cpu;
     p_insns = cpu.Cpu.counters.Cpu.insns;
-    p_rows = List.init n_rows row_of;
+    p_rows = rows sm cpu;
     p_blocks = Ublock.stats cpu.Cpu.tcache;
     p_compiles = Ublock.compiles cpu.Cpu.tcache;
     p_invalidations = Ublock.invalidations cpu.Cpu.tcache;

@@ -1,8 +1,11 @@
-(** Fast-path microarchitectural profiler.
+(** Fast-path microarchitectural profiler, and the one owner of the
+    per-rip class map and of per-site cycles.
 
     Where {!Profiler} counts crossings, checks and misses through the
-    class-transition callback and event hooks, this module reads the
-    counters the fast path maintains {e anyway}: the per-block execution/edge profile
+    class-transition callback and event hooks (and installs its map
+    through {!install}, reading its cycles back through {!rows}), this
+    module reads the counters the fast path maintains {e anyway}: the
+    per-block execution/edge profile
     kept by {!X86sim.Ublock}, and the CPI-stack cycle accounting kept by
     {!X86sim.Pipeline} — every simulated cycle attributed to exactly one
     of issue/port contention, L1/L2/L3 miss, TLB walk, store-buffer
@@ -43,11 +46,16 @@ type t = {
 
 val install : Framework.prepared -> unit
 (** Build the per-rip class map from the prepared sitemap
-    ({!Sitemap.class_map}, the map {!Profiler.attach} installs too) and
-    install it ({!Cpu.set_site_rows}) on every vCPU (all cores run the
-    same instrumented program): row 0 is application code, row [id + 1]
-    is site [id]. Zeroes any prior CPI accumulation. Call before
-    running. *)
+    ({!Sitemap.class_map}) and install it ({!Cpu.set_site_rows}) on every
+    vCPU (all cores run the same instrumented program): row 0 is
+    application code, row [id + 1] is site [id]. Zeroes any prior CPI
+    accumulation. Call before running. The one installer of the map:
+    {!Profiler.attach} goes through it too. *)
+
+val rows : Sitemap.t -> Cpu.t -> row list
+(** One core's CPI rows as {!capture} reads them: the app row, then one
+    row per site in site-id order (only the app row without a prior
+    {!install}). *)
 
 val capture : ?workload:string -> Framework.prepared -> t list
 (** Snapshot every fast-path counter of the (finished) run: one profile

@@ -22,14 +22,8 @@ type t = {
   stats : row array;
   app : residual;
   span_rec : Tracer.spans;
-  synthetic : bool;
   technique : string;
-  map : int array;  (* the class map installed on core 0 *)
-  class_cycles : float array;
-      (* cycles per class row (0 = app, [id + 1] = site [id]); unboxed
-         accumulators, copied into [stats]/[app] by [stop] *)
-  now : float array;  (* [| cycles at the last transition |] *)
-  mutable prev_class : int;  (* class of the running code; 0 = app *)
+  seq_gate : Event.gate option;  (* the gate of injected events, if any *)
   mutable event_hook : int option;
 }
 
@@ -43,34 +37,26 @@ let injects_seq_gates = function
   | Technique.Sgx ->
     false
 
-(* The cycles since the previous transition belong to the class that was
-   running (pipeline effects included). Every cycle value is a multiple
-   of 1/4, so these per-run sums equal the per-instruction ones exactly. *)
-let charge t now =
-  let r = Cpu.class_row t.prev_class in
-  t.class_cycles.(r) <- t.class_cycles.(r) +. (now -. t.now.(0));
-  t.now.(0) <- now
-
 (* A crossing/check fires on the transition into a tagged range, so a
    straight-line enter sequence counts once however long it is. *)
 let on_class t (c : Cpu.t) cls =
-  charge t (Cpu.cycles c);
-  (if cls <> 0 then
-     let s = t.stats.(Sitemap.class_site cls) in
-     match Sitemap.class_role cls with
-     | Sitemap.Gate_open ->
-       s.crossings <- s.crossings + 1;
-       if t.synthetic then
-         Cpu.emit c (Event.Gate_enter { rip = c.Cpu.rip; gate = Event.Seq t.technique })
-     | Sitemap.Gate_close ->
-       s.crossings <- s.crossings + 1;
-       if t.synthetic then
-         Cpu.emit c (Event.Gate_exit { rip = c.Cpu.rip; gate = Event.Seq t.technique })
-     | Sitemap.Check | Sitemap.Hoisted_check -> s.checks <- s.checks + 1);
-  t.prev_class <- cls
+  if cls <> 0 then
+    let s = t.stats.(Sitemap.class_site cls) in
+    match Sitemap.class_role cls with
+    | (Sitemap.Gate_open | Sitemap.Gate_close) as role -> (
+      s.crossings <- s.crossings + 1;
+      match t.seq_gate with
+      | Some gate ->
+        let rip = c.Cpu.rip in
+        Cpu.emit c
+          (if role = Sitemap.Gate_open then Event.Gate_enter { rip; gate }
+           else Event.Gate_exit { rip; gate })
+      | None -> ())
+    | Sitemap.Check | Sitemap.Hoisted_check -> s.checks <- s.checks + 1
 
 let attribute t ~tlb ~cache ~fault rip =
-  let cls = if rip >= 0 && rip < Array.length t.map then t.map.(rip) else 0 in
+  let map = t.prepared.Framework.cpu.Cpu.site_of in
+  let cls = if rip >= 0 && rip < Array.length map then map.(rip) else 0 in
   if cls <> 0 then begin
     let s = t.stats.(Sitemap.class_site cls) in
     s.tlb_misses <- s.tlb_misses + tlb;
@@ -101,23 +87,20 @@ let attach (p : Framework.prepared) =
            { site; crossings = 0; checks = 0; cycles = 0.0; tlb_misses = 0; cache_misses = 0; faults = 0 })
          (Sitemap.sites sm))
   in
-  let map = Sitemap.class_map sm ~code_length:(Program.length plan.Framework.program) in
+  let tech = plan.Framework.cfg.Framework.technique in
+  let technique = Technique.name tech in
   let t =
     {
       prepared = p;
       stats;
       app = { r_cycles = 0.0; r_tlb_misses = 0; r_cache_misses = 0; r_faults = 0 };
       span_rec = Tracer.record_spans cpu;
-      synthetic = injects_seq_gates plan.Framework.cfg.Framework.technique;
-      technique = Technique.name plan.Framework.cfg.Framework.technique;
-      map;
-      class_cycles = Array.make (Array.length stats + 1) 0.0;
-      now = [| Cpu.cycles cpu |];
-      prev_class = 0;
+      technique;
+      seq_gate = (if injects_seq_gates tech then Some (Event.Seq technique) else None);
       event_hook = None;
     }
   in
-  Cpu.set_site_rows cpu map ~rows:(Array.length stats + 1);
+  Fastprof.install p;
   Cpu.set_class_hook cpu (on_class t);
   t.event_hook <- Some (Cpu.add_event_hook cpu (on_event t));
   t
@@ -129,10 +112,12 @@ let stop t =
     Cpu.clear_class_hook cpu;
     Cpu.remove_event_hook cpu id;
     t.event_hook <- None;
-    (* Account the tail: cycles since the last transition. *)
-    charge t (Cpu.cycles cpu);
-    t.app.r_cycles <- t.class_cycles.(0);
-    Array.iteri (fun id r -> r.cycles <- t.class_cycles.(id + 1)) t.stats
+    (* Core 0's CPI rows: row 0 is the app, row [id + 1] site [id]. *)
+    List.iteri
+      (fun i r ->
+        let cycles = Fastprof.row_cycles r in
+        if i = 0 then t.app.r_cycles <- cycles else t.stats.(i - 1).cycles <- cycles)
+      (Fastprof.rows t.prepared.Framework.plan.Framework.sitemap cpu)
   | None -> ());
   Tracer.stop t.span_rec
 
@@ -146,38 +131,13 @@ let overhead_cycles t = Array.fold_left (fun acc r -> acc +. r.cycles) 0.0 t.sta
 let spans t = Tracer.spans t.span_rec
 let unmatched_exits t = Tracer.unmatched_exits t.span_rec
 
-let site_of_rip t rip = Sitemap.lookup t.prepared.Framework.plan.Framework.sitemap rip
-
-let metrics t =
-  let reg = Ms_util.Metrics.registry () in
-  Array.iter
-    (fun r ->
-      let labels =
-        [
-          ("site", string_of_int r.site.Sitemap.id);
-          ("label", r.site.Sitemap.label);
-          ("technique", r.site.Sitemap.technique);
-        ]
-      in
-      let set name v = Ms_util.Metrics.incr ~by:v (Ms_util.Metrics.counter reg ~labels name) in
-      set "gate_crossings" r.crossings;
-      set "checks" r.checks;
-      set "tlb_misses" r.tlb_misses;
-      set "cache_misses" r.cache_misses;
-      set "faults" r.faults)
-    t.stats;
-  let residency =
-    Ms_util.Metrics.histogram reg ~labels:[ ("technique", t.technique) ] "residency_cycles"
-  in
-  List.iter (fun s -> Ms_util.Metrics.observe residency (Tracer.span_cycles s)) (spans t);
-  reg
-
 let residency_histogram t =
-  let reg = metrics t in
-  Ms_util.Metrics.histogram reg ~labels:[ ("technique", t.technique) ] "residency_cycles"
+  let h = Ms_util.Metrics.create () in
+  List.iter (fun s -> Ms_util.Metrics.observe h (Tracer.span_cycles s)) (spans t);
+  h
 
 let annotate t (s : Tracer.span) =
-  match site_of_rip t s.Tracer.enter_rip with
+  match Sitemap.lookup t.prepared.Framework.plan.Framework.sitemap s.Tracer.enter_rip with
   | Some (site, _) ->
     [
       ("site", Ms_util.Json.Int site.Sitemap.id);

@@ -3,19 +3,19 @@
 
     Attach to a {!Framework.prepared} machine before running it; the
     profiler watches core 0 on the translated fast loop. It installs the
-    sitemap's per-rip class map ({!Sitemap.class_map}), a class-transition
-    callback and an event hook, but no step hook, and
+    per-rip class map through {!Fastprof.install}, then a class-transition
+    callback and an event hook on core 0, but no step hook, and
 
     - counts {e crossings} (executions of a gate open/close sequence) and
       {e checks} (executions of an address-based check) per
       {!Sitemap.site}, on class transitions into tagged ranges;
-    - attributes cycles to each site: the time from one transition to the
-      next is charged to the class that ran in between, so gate
-      serialization and cache effects land on the gate that caused them
-      (the same sums, exactly, as charging every instruction on its own);
+    - reads each site's cycles from core 0's CPI rows, which the pipeline
+      keeps per class ({!Fastprof.rows}, {!Fastprof.row_cycles}), so gate
+      serialization and cache effects land on the gate that caused them;
+      the profiler keeps no cycle count of its own;
     - attributes TLB misses, cache fills below L1, and faults to sites via
       the [rip] carried by typed {!X86sim.Event.t}s, looked up in the
-      class map;
+      installed class map ([Cpu.site_of]);
     - records domain-residency spans. For techniques whose gates the CPU
       reports ([wrpkru], [vmfunc]) the hardware events drive the spans;
       for sequence-gated techniques (crypt, mprotect) the profiler injects
@@ -48,24 +48,21 @@ type residual = {
 type t
 
 val attach : Framework.prepared -> t
-(** Install the class map (as {!Fastprof.install} does, zeroing core 0's
-    CPI rows), the class-transition callback and an event hook on core 0.
-    Composes with tracers and analyses; a step hook attached beside it
-    only moves the run onto the interpreter, which reports the same
-    numbers. A core has one class callback, so a second profiler
+(** {!Fastprof.install} the class map (zeroing every core's CPI rows),
+    then install the class-transition callback and an event hook on
+    core 0. Composes with tracers and analyses; a step hook attached
+    beside it only moves the run onto the interpreter, which reports the
+    same numbers. A core has one class callback, so a second profiler
     attached to the same core replaces the first's counting. Attach
-    before {!Framework.run}; cycle accounting starts at the current
-    pipeline clock. On a multi-vCPU build the siblings run unprofiled;
-    {!Fastprof} covers every core. *)
+    before {!Framework.run}. On a multi-vCPU build the siblings' CPI rows
+    are kept but their crossings, checks and misses are not counted;
+    {!Fastprof.capture} covers every core. *)
 
 val stop : t -> unit
-(** Remove the callback and the event hook, charge the cycle tail, and
-    force-close open spans. Call after the run; accessors below are
-    meaningful afterwards (per-site cycles only then). *)
-
-val injects_seq_gates : Technique.t -> bool
-(** Whether the profiler supplies [Event.Seq] gate events for this
-    technique (crypt, mprotect) because the hardware reports none. *)
+(** Remove the callback and the event hook, read the per-site cycles from
+    core 0's CPI rows, and force-close open spans. Call after the run;
+    accessors below are meaningful afterwards (per-site cycles only
+    then). *)
 
 val rows : t -> row list
 (** Per-site stats in site-id order. *)
@@ -79,14 +76,9 @@ val overhead_cycles : t -> float
 
 val spans : t -> Tracer.span list
 val unmatched_exits : t -> int
-val site_of_rip : t -> int -> (Sitemap.site * Sitemap.role) option
 
-val metrics : t -> Ms_util.Metrics.registry
-(** Export into a fresh registry: per-site [gate_crossings]/[checks]/
-    [tlb_misses]/[cache_misses]/[faults] counters (labels: site, label,
-    technique) plus a [residency_cycles] histogram over span durations. *)
-
-val residency_histogram : t -> Ms_util.Metrics.histogram
+val residency_histogram : t -> Ms_util.Metrics.t
+(** Span durations in cycles. *)
 
 val trace_json : t -> Ms_util.Json.t
 (** Chrome trace-event JSON of the spans, each annotated with its gate

@@ -1,5 +1,3 @@
-type counter = { mutable n : int }
-
 (* Log-scaled histogram: bucket i holds observations whose log_gamma rounds
    to i, so every bucket's representative value gamma^i is within
    sqrt(gamma) of any member. gamma = 2^(1/8) gives ~4.5% relative error
@@ -7,7 +5,7 @@ type counter = { mutable n : int }
 let gamma = Float.pow 2.0 0.125
 let log_gamma = Float.log gamma
 
-type histogram = {
+type t = {
   buckets : (int, int ref) Hashtbl.t;
   mutable zeros : int;  (* non-positive / non-finite observations *)
   mutable hcount : int;
@@ -15,46 +13,7 @@ type histogram = {
   mutable hmax : float;
 }
 
-type instrument = Counter of counter | Histogram of histogram
-
-type registry = { tbl : (string * (string * string) list, instrument) Hashtbl.t }
-
-let registry () = { tbl = Hashtbl.create 64 }
-
-let canonical_labels labels =
-  List.sort (fun (a, _) (b, _) -> String.compare a b) labels
-
-let find_or_create reg ~labels name ~make ~cast =
-  let key = (name, canonical_labels labels) in
-  match Hashtbl.find_opt reg.tbl key with
-  | Some inst -> cast inst
-  | None ->
-    let inst = make () in
-    Hashtbl.add reg.tbl key inst;
-    cast inst
-
-let counter reg ?(labels = []) name =
-  find_or_create reg ~labels name
-    ~make:(fun () -> Counter { n = 0 })
-    ~cast:(function
-      | Counter c -> c
-      | Histogram _ ->
-        invalid_arg (Printf.sprintf "Metrics.counter: %S is registered as a histogram" name))
-
-let incr ?(by = 1) c =
-  if by < 0 then invalid_arg "Metrics.incr: counters are monotonic";
-  c.n <- c.n + by
-
-let value c = c.n
-
-let histogram reg ?(labels = []) name =
-  find_or_create reg ~labels name
-    ~make:(fun () ->
-      Histogram { buckets = Hashtbl.create 32; zeros = 0; hcount = 0; hsum = 0.0; hmax = 0.0 })
-    ~cast:(function
-      | Histogram h -> h
-      | Counter _ ->
-        invalid_arg (Printf.sprintf "Metrics.histogram: %S is registered as a counter" name))
+let create () = { buckets = Hashtbl.create 32; zeros = 0; hcount = 0; hsum = 0.0; hmax = 0.0 }
 
 let bucket_of v = int_of_float (Float.round (Float.log v /. log_gamma))
 
@@ -99,59 +58,3 @@ let percentile h p =
 let p50 h = percentile h 50.0
 let p95 h = percentile h 95.0
 let p99 h = percentile h 99.0
-
-let sorted_entries reg =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) reg.tbl [])
-
-let counters reg =
-  List.filter_map
-    (function key, Counter c -> Some (key, c.n) | _, Histogram _ -> None)
-    (sorted_entries reg)
-
-let labels_to_json labels =
-  Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
-
-let to_json reg =
-  let cs = ref [] and hs = ref [] in
-  List.iter
-    (fun ((name, labels), inst) ->
-      match inst with
-      | Counter c ->
-        cs :=
-          Json.Obj
-            [ ("name", Json.String name); ("labels", labels_to_json labels);
-              ("value", Json.Int c.n) ]
-          :: !cs
-      | Histogram h ->
-        hs :=
-          Json.Obj
-            [
-              ("name", Json.String name);
-              ("labels", labels_to_json labels);
-              ("count", Json.Int h.hcount);
-              ("sum", Json.Float h.hsum);
-              ("mean", Json.Float (mean h));
-              ("p50", Json.Float (p50 h));
-              ("p95", Json.Float (p95 h));
-              ("p99", Json.Float (p99 h));
-              ("max", Json.Float h.hmax);
-            ]
-          :: !hs)
-    (sorted_entries reg);
-  Json.Obj [ ("counters", Json.List (List.rev !cs)); ("histograms", Json.List (List.rev !hs)) ]
-
-let label_string labels =
-  if labels = [] then ""
-  else
-    "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) labels) ^ "}"
-
-let to_string reg =
-  String.concat "\n"
-    (List.map
-       (fun ((name, labels), inst) ->
-         match inst with
-         | Counter c -> Printf.sprintf "%s%s %d" name (label_string labels) c.n
-         | Histogram h ->
-           Printf.sprintf "%s%s count=%d mean=%.1f p50=%.1f p95=%.1f p99=%.1f max=%.1f" name
-             (label_string labels) h.hcount (mean h) (p50 h) (p95 h) (p99 h) h.hmax)
-       (sorted_entries reg))

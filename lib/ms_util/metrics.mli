@@ -1,73 +1,33 @@
-(** Counter and histogram registry — the accounting substrate of the
-    telemetry subsystem.
+(** Log-scaled latency histogram — the residency percentiles of the
+    gate-site profiler.
 
-    A {!registry} holds named instruments, each optionally carrying label
-    dimensions ([("site", "3"); ("technique", "mpk")]), so the same metric
-    name can be recorded per gate site, per technique, per workload.
-    Registration is idempotent: asking for an existing (name, labels) pair
-    returns the same instrument, so instrumentation sites do not need to
-    coordinate. Re-registering a name with a different instrument kind
-    raises [Invalid_argument].
-
-    Counters are monotonic (increments must be non-negative). Histograms
-    are log-scaled: observations are binned by rounding in log space with
-    a per-bucket relative error of about 4.5%, which keeps p50/p95/p99 of
-    latency distributions accurate enough for attribution while using O(1)
+    Observations are binned by rounding in log space with a per-bucket
+    relative error of about 4.5%, which keeps p50/p95/p99 of latency
+    distributions accurate enough for attribution while using O(1)
     memory per decade. This is the same sketch idea production metric
     pipelines use (DDSketch-style), sized for cycle-valued latencies. *)
 
-type registry
+type t
 
-val registry : unit -> registry
+val create : unit -> t
+(** An empty histogram. *)
 
-(** {2 Counters} *)
-
-type counter
-
-val counter : registry -> ?labels:(string * string) list -> string -> counter
-(** Find-or-create. [labels] default to []. *)
-
-val incr : ?by:int -> counter -> unit
-(** Add [by] (default 1). Raises [Invalid_argument] on negative [by] —
-    counters are monotonic. *)
-
-val value : counter -> int
-
-(** {2 Histograms} *)
-
-type histogram
-
-val histogram : registry -> ?labels:(string * string) list -> string -> histogram
-(** Find-or-create. *)
-
-val observe : histogram -> float -> unit
+val observe : t -> float -> unit
 (** Record one observation. Non-positive and non-finite values all land in
     a dedicated zero bucket (latencies are non-negative by construction;
     a zero-cycle span is still an observation). *)
 
-val count : histogram -> int
-val sum : histogram -> float
-val mean : histogram -> float
+val count : t -> int
+val sum : t -> float
+val mean : t -> float
 (** 0.0 when empty. *)
 
-val percentile : histogram -> float -> float
+val percentile : t -> float -> float
 (** [percentile h p] with [p] in [\[0, 100\]]; nearest-rank over the
     bucketed distribution, so the result is a bucket representative within
     ~4.5% of the true order statistic. Returns 0.0 for an empty histogram.
     Raises [Invalid_argument] if [p] is outside [\[0, 100\]]. *)
 
-val p50 : histogram -> float
-val p95 : histogram -> float
-val p99 : histogram -> float
-
-(** {2 Inspection and export} *)
-
-val counters : registry -> ((string * (string * string) list) * int) list
-(** All counters as [((name, labels), value)], sorted by name then labels. *)
-
-val to_json : registry -> Json.t
-(** [{ "counters": [...], "histograms": [...] }]; each entry carries name,
-    labels, and value (counters) or count/sum/p50/p95/p99/max (histograms). *)
-
-val to_string : registry -> string
-(** Human-readable listing, one instrument per line. *)
+val p50 : t -> float
+val p95 : t -> float
+val p99 : t -> float

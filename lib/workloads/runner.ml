@@ -59,8 +59,11 @@ let pool_for (cfg : Framework.config) =
   | Technique.Sfi | Technique.Mpx | Technique.Mpk _ | Technique.Vmfunc | Technique.Sgx
   | Technique.Mprotect | Technique.Isboxing -> None
 
-let prepare_instrumented ?iterations ?optimize ?vcpus prof (cfg : Framework.config) =
-  Framework.prepare ?vcpus ?optimize cfg (Synth.lowered ?iterations ?xmm_pool:(pool_for cfg) prof)
+let lowered ?iterations ?region_size prof cfg =
+  Synth.lowered ?iterations ?region_size ?xmm_pool:(pool_for cfg) prof
+
+let prepare_instrumented ?iterations ?optimize ?vcpus prof cfg =
+  Framework.prepare ?vcpus ?optimize cfg (lowered ?iterations prof cfg)
 
 let run_with ?iterations ?optimize ?vcpus prof cfg =
   finish prof.Profile.name (prepare_instrumented ?iterations ?optimize ?vcpus prof cfg)

@@ -47,6 +47,13 @@ val run_with :
     over shared memory. Raises [Invalid_argument] for [Vmfunc] on more
     than one vCPU and for [Sgx] (see {!Memsentry.Framework.prepare}). *)
 
+val lowered :
+  ?iterations:int -> ?region_size:int -> Profile.t -> Memsentry.Framework.config -> Ir.Lower.t
+(** The profile's program lowered as [cfg]'s measured builds lower it:
+    {!Synth.lowered} with crypt's restricted xmm pool for a crypt [cfg]
+    and the full pool otherwise. Every instrumented build, static or
+    run, starts here. *)
+
 val prepare_instrumented :
   ?iterations:int ->
   ?optimize:bool ->

@@ -16,7 +16,7 @@ let span_event ?(annotate = fun _ -> []) (s : Tracer.span) =
   in
   J.Obj
     [
-      ("name", J.String s.Tracer.gate);
+      ("name", J.String (Event.gate_name s.Tracer.gate));
       ("cat", J.String "domain-residency");
       ("ph", J.String "X");
       (* The trace-event clock is microseconds; we map one simulated cycle

@@ -50,7 +50,7 @@ let to_string t =
 (* {2 Domain-residency spans} *)
 
 type span = {
-  gate : string;
+  gate : Event.gate;
   enter_rip : int;
   exit_rip : int;
   enter_cycles : float;
@@ -61,7 +61,7 @@ type span = {
 
 let span_cycles s = s.exit_cycles -. s.enter_cycles
 
-type open_span = { o_gate : string; o_rip : int; o_cycles : float }
+type open_span = { o_gate : Event.gate; o_rip : int; o_cycles : float }
 
 type spans = {
   s_cpu : Cpu.t;
@@ -78,8 +78,7 @@ let record_spans cpu =
   let on_event ev =
     match ev with
     | Event.Gate_enter { rip; gate } ->
-      t.stack <-
-        { o_gate = Event.gate_name gate; o_rip = rip; o_cycles = Cpu.cycles cpu } :: t.stack
+      t.stack <- { o_gate = gate; o_rip = rip; o_cycles = Cpu.cycles cpu } :: t.stack
     | Event.Gate_exit { rip; _ } -> (
       match t.stack with
       | o :: rest ->

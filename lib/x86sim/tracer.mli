@@ -43,7 +43,7 @@ val to_string : t -> string
 (** {2 Domain-residency spans} *)
 
 type span = {
-  gate : string;  (** {!Event.gate_name} of the {e entering} gate. *)
+  gate : Event.gate;  (** The {e entering} gate; named at export. *)
   enter_rip : int;
   exit_rip : int;
   enter_cycles : float;

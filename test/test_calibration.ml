@@ -80,14 +80,8 @@ let test_crypt_scaling_monotone () =
   let prof = Workloads.Spec2006.find "hmmer" in
   let run size =
     let base = Workloads.Runner.run_baseline ~iterations prof in
-    let lowered =
-      Workloads.Synth.lowered ~iterations ~region_size:size
-        ~xmm_pool:Ir.Lower.crypt_xmm_pool prof
-    in
-    let p =
-      Framework.prepare (Framework.config ~switch_policy:Instr.At_call_ret Technique.Crypt)
-        lowered
-    in
+    let cfg = Framework.config ~switch_policy:Instr.At_call_ret Technique.Crypt in
+    let p = Framework.prepare cfg (Workloads.Runner.lowered ~iterations ~region_size:size prof cfg) in
     ignore (Framework.run p);
     X86sim.Cpu.cycles p.Framework.cpu /. base.Workloads.Runner.cycles
   in

@@ -1,4 +1,4 @@
-(* The telemetry subsystem: metrics registry, JSON round-trips, typed
+(* The telemetry subsystem: residency histogram, JSON round-trips, typed
    events, span matching, and gate-site attributed profiling end to end. *)
 
 open X86sim
@@ -6,51 +6,17 @@ open Memsentry
 module J = Ms_util.Json
 module M = Ms_util.Metrics
 
-(* --- metrics registry --- *)
-
-let test_counter_basics () =
-  let reg = M.registry () in
-  let c = M.counter reg "crossings" in
-  M.incr c;
-  M.incr ~by:41 c;
-  Alcotest.(check int) "accumulates" 42 (M.value c);
-  Alcotest.(check int) "find-or-create returns same instrument" 42
-    (M.value (M.counter reg "crossings"));
-  Alcotest.(check bool) "negative increment rejected" true
-    (try M.incr ~by:(-1) c; false with Invalid_argument _ -> true)
-
-let test_counter_labels () =
-  let reg = M.registry () in
-  let a = M.counter reg ~labels:[ ("site", "0"); ("technique", "MPK") ] "crossings" in
-  let b = M.counter reg ~labels:[ ("site", "1"); ("technique", "MPK") ] "crossings" in
-  (* Label order must not matter: same dimensions = same instrument. *)
-  let a' = M.counter reg ~labels:[ ("technique", "MPK"); ("site", "0") ] "crossings" in
-  M.incr a;
-  M.incr ~by:2 b;
-  M.incr a';
-  Alcotest.(check int) "labeled separately" 2 (M.value a);
-  Alcotest.(check int) "other dimension untouched" 2 (M.value b);
-  Alcotest.(check int) "three series registered" 3
-    (List.length (List.filter (fun ((n, _), _) -> n = "crossings") (M.counters reg))
-     + 1)
-
-let test_kind_conflict () =
-  let reg = M.registry () in
-  ignore (M.counter reg "x");
-  Alcotest.(check bool) "histogram under counter name raises" true
-    (try ignore (M.histogram reg "x"); false with Invalid_argument _ -> true)
+(* --- residency histogram --- *)
 
 let test_histogram_empty () =
-  let reg = M.registry () in
-  let h = M.histogram reg "latency" in
+  let h = M.create () in
   Alcotest.(check int) "no samples" 0 (M.count h);
   Alcotest.(check (float 0.0)) "empty p50 is 0" 0.0 (M.p50 h);
   Alcotest.(check (float 0.0)) "empty p99 is 0" 0.0 (M.p99 h);
   Alcotest.(check (float 0.0)) "empty mean is 0" 0.0 (M.mean h)
 
 let test_histogram_percentiles () =
-  let reg = M.registry () in
-  let h = M.histogram reg "latency" in
+  let h = M.create () in
   (* 1..1000: the sketch must place percentiles within its ~4.5% bucket
      relative error. *)
   for v = 1 to 1000 do
@@ -73,8 +39,7 @@ let test_histogram_percentiles () =
     (try ignore (M.percentile h 101.0); false with Invalid_argument _ -> true)
 
 let test_histogram_zero_bucket () =
-  let reg = M.registry () in
-  let h = M.histogram reg "latency" in
+  let h = M.create () in
   M.observe h 0.0;
   M.observe h (-5.0);
   M.observe h Float.nan;
@@ -82,19 +47,6 @@ let test_histogram_zero_bucket () =
   Alcotest.(check (float 0.0)) "p99 of zeros is 0" 0.0 (M.p99 h);
   M.observe h 100.0;
   Alcotest.(check bool) "p99 escapes the zeros bucket" true (M.p99 h > 90.0)
-
-let test_metrics_json () =
-  let reg = M.registry () in
-  M.incr ~by:7 (M.counter reg ~labels:[ ("site", "3") ] "crossings");
-  M.observe (M.histogram reg "residency") 10.0;
-  let j = M.to_json reg in
-  (* The export must survive the repo's own JSON parser. *)
-  let reparsed = J.of_string (J.to_string ~pretty:true j) in
-  Alcotest.(check bool) "round-trips" true (J.equal j reparsed);
-  match (J.member "counters" j, J.member "histograms" j) with
-  | Some (J.List [ c ]), Some (J.List [ _ ]) ->
-    Alcotest.(check bool) "counter value present" true (J.member "value" c = Some (J.Int 7))
-  | _ -> Alcotest.fail "expected one counter and one histogram"
 
 (* --- JSON parser --- *)
 
@@ -298,10 +250,7 @@ let test_crypt_synthetic_spans () =
      events must still produce balanced spans. *)
   let prof = Workloads.Spec2006.find "429.mcf" in
   let cfg = Framework.config ~switch_policy:Instr.At_call_ret Technique.Crypt in
-  let lowered =
-    Workloads.Synth.lowered ~iterations:2 ~xmm_pool:Ir.Lower.crypt_xmm_pool prof
-  in
-  let p = Framework.prepare cfg lowered in
+  let p = Workloads.Runner.prepare_instrumented ~iterations:2 prof cfg in
   let profiler = Profiler.attach p in
   ignore (Framework.run p);
   Profiler.stop profiler;
@@ -445,13 +394,9 @@ let test_ept_retry_inside_gate () =
 
 let suite =
   [
-    Alcotest.test_case "counter basics" `Quick test_counter_basics;
-    Alcotest.test_case "counter label dimensions" `Quick test_counter_labels;
-    Alcotest.test_case "instrument kind conflict" `Quick test_kind_conflict;
     Alcotest.test_case "histogram empty" `Quick test_histogram_empty;
     Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
     Alcotest.test_case "histogram zero bucket" `Quick test_histogram_zero_bucket;
-    Alcotest.test_case "metrics json export" `Quick test_metrics_json;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "wrpkru gate events" `Quick test_gate_events_from_wrpkru;
     Alcotest.test_case "event hook removal" `Quick test_event_hook_removal;
