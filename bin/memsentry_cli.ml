@@ -86,8 +86,19 @@ let find_bench name =
     Printf.eprintf "unknown benchmark %S (try 'list')\n" name;
     exit 1
 
+(* Counts (iterations, lines, rows, cores) must be at least 1: anything
+   else is a usage error (exit 124), not a silently empty result. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a count (need an integer >= 1)" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let iterations_arg =
-  Arg.(value & opt int 40 & info [ "iterations"; "n" ] ~docv:"N" ~doc:"Workload loop iterations.")
+  Arg.(value & opt positive 40 & info [ "iterations"; "n" ] ~docv:"N"
+         ~doc:"Workload loop iterations.")
 
 (* --- list --- *)
 
@@ -107,6 +118,14 @@ let read_file file =
   let s = really_input_string ic n in
   close_in ic;
   s
+
+(* A syntax error in an assembly file is reported as FILE:LINE: MSG with
+   exit 2, apart from exit 1, which means "violations found". *)
+let parse_asm_file file =
+  try X86sim.Asm.parse (read_file file)
+  with X86sim.Asm.Parse_error { line; msg } ->
+    Printf.eprintf "%s:%d: %s\n" file line msg;
+    exit 2
 
 (* --- report --- *)
 
@@ -200,17 +219,10 @@ let report_cmd =
            ~doc:"Workload to profile on the fast path; omit for the survey tables.")
   in
   let top =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"Rows in the hot block/edge tables.")
+    Arg.(value & opt positive 10 & info [ "top" ] ~docv:"N"
+           ~doc:"Rows in the hot block/edge tables.")
   in
   let vcpus =
-    let positive =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok n
-        | _ -> Error (`Msg (Printf.sprintf "%S is not a vCPU count (need an integer >= 1)" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
     Arg.(value & opt positive 1 & info [ "vcpus" ] ~docv:"N"
            ~doc:"Run N copies of the workload on an N-core shared-memory machine and print \
                  per-core CPI stacks plus the machine rollup (default 1 = single-core report).")
@@ -470,7 +482,7 @@ let disasm_cmd =
       (Arg.some technique_conv) None
   in
   let lines =
-    Arg.(value & opt int 60 & info [ "lines" ] ~docv:"N" ~doc:"How many lines to print.")
+    Arg.(value & opt positive 60 & info [ "lines" ] ~docv:"N" ~doc:"How many lines to print.")
   in
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble a workload, optionally after instrumentation")
     Term.(const run $ bench_arg 0 $ technique $ kind_arg $ lines)
@@ -504,7 +516,8 @@ let trace_cmd =
     print_endline (X86sim.Tracer.to_string tracer)
   in
   let last =
-    Arg.(value & opt int 30 & info [ "last" ] ~docv:"N" ~doc:"Ring-buffer size / lines shown.")
+    Arg.(value & opt positive 30 & info [ "last" ] ~docv:"N"
+           ~doc:"Ring-buffer size / lines shown.")
   in
   let filt =
     Arg.(value & opt string "all" & info [ "filter" ] ~docv:"F" ~doc:"all, mem, or branch.")
@@ -527,7 +540,7 @@ let verify_cmd =
     in
     let name, prog =
       match (asm, bench) with
-      | Some file, _ -> (file, X86sim.Asm.parse_program (read_file file))
+      | Some file, _ -> (file, X86sim.Program.assemble (parse_asm_file file))
       | None, Some bench ->
         let prof = find_bench bench in
         let lowered = Workloads.Runner.lowered ~iterations prof cfg in
@@ -574,7 +587,7 @@ let optimize_cmd =
     (match asm with
     | Some file ->
       (* Instrument + optimize a raw assembly file (address-based only). *)
-      let items = X86sim.Asm.parse (read_file file) in
+      let items = parse_asm_file file in
       let mitems =
         List.map
           (fun item ->

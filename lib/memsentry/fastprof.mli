@@ -76,8 +76,9 @@ val merge : t list -> t
     [Invalid_argument] on []. *)
 
 val total_cycles : t -> float
-(** Sum over all rows and classes — equals [p_cycles] minus only
-    float-addition rounding (the per-issue deltas telescope). *)
+(** Sum over all rows and classes — equals [p_cycles] exactly: the
+    per-issue deltas telescope, and every cell is a whole number of
+    quarter cycles, so the float sums round nothing. *)
 
 val row_cycles : row -> float
 

@@ -7,7 +7,7 @@ let epc_used = ref 0
 let epc_in_use () = !epc_used
 let reset_epc () = epc_used := 0
 
-let transition_cost = 7664.0
+let transition_cost = 7664
 
 type t = {
   memory : Bytes.t;
@@ -48,7 +48,7 @@ let register_ecall t ~name f =
 (* One enclave entry or exit: half the round-trip cost, serializing. *)
 let transition cpu =
   let nr = Reg.pipe_none in
-  Pipeline.issue_gate cpu.Cpu.pipe ~s1:nr ~s2:nr ~d1:nr ~lat:(transition_cost /. 2.0) ~busy:1.0
+  Pipeline.issue cpu.Cpu.pipe ~s1:nr ~s2:nr ~d1:nr ~lat:(transition_cost / 2) ~busy:1
     ~serialize:true ~port:Pipeline.p_special
 
 let ecall t cpu ~name ~arg =

@@ -47,7 +47,7 @@ val ecall : t -> X86sim.Cpu.t -> name:string -> arg:int -> int
     CPU's pipeline, runs the entry point on the private memory, returns
     its result. *)
 
-val transition_cost : float
+val transition_cost : int
 (** Cycles per enter+exit pair (Table 4: 7664). *)
 
 val destroy : t -> unit

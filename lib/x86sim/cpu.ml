@@ -34,19 +34,16 @@ type t = {
   mutable wrpkru_serialize : bool;
   mmu : Mmu.t;
   pipe : Pipeline.t;
-  pio : float array;
-      (* [Pipeline.io pipe], cached: the float parameter/result channel of
-         [Pipeline.issue_fast]. Indexed reads/writes never box, unlike
-         float-returning accessors. *)
   sb_line : int array;
       (* store buffer, direct-mapped by 64-byte line (VA-keyed; there is no
          aliasing in this machine): [sb_line] holds the line tag (-1 =
-         empty), [sb_ready] the cycle the stored data becomes forwardable.
+         empty), [sb_ready] the pipeline tick the stored data becomes
+         forwardable.
          Bounded, unlike the Hashtbl it replaces, so memory stays flat on
          arbitrarily long runs; a colliding store simply evicts the older
          line's entry, which can only relax (never add) an ordering edge
          for a store so old it no longer constrains the present. *)
-  sb_ready : float array;
+  sb_ready : int array;
   counters : counters;
   mutable site_of : int array;
       (* Per-rip class map: [site_of.(rip)] is instruction [rip]'s class,
@@ -87,22 +84,23 @@ type t = {
    the window in which a store's completion time can still gate a load. *)
 let sb_slots = 4096
 
-(* Cost-model constants, calibrated against the paper's Table 4. *)
+(* Cost-model constants in cycles, calibrated against the paper's
+   Table 4. *)
 let syscall_cost = 108.0
 let vmfunc_cost = 147.0
 let vmcall_cost = 613.0
 let wrpkru_cost = 55.0
-let ept_violation_cost = 1200.0
-let mprotect_kernel_cost = 1000.0
-let io_kernel_cost = 4000.0
+let ept_violation_cost = 1200
+let mprotect_kernel_cost = 1000
+let io_kernel_cost = 4000
 
 (* Cross-core TLB shootdown: the initiator spins until every remote core
    acknowledges its IPI (send + wait, charged per remote core); each
    remote pays interrupt delivery + the flush on its side when it next
    runs. Magnitudes follow the kernel-mediated costs above — a shootdown
    round trip is somewhat heavier than the local mprotect kernel work. *)
-let ipi_cost = 1500.0
-let ipi_deliver_cost = 500.0
+let ipi_cost = 1500
+let ipi_deliver_cost = 500
 
 let sys_nop = 0
 let sys_write = 1
@@ -150,10 +148,9 @@ let pkru t = t.mmu.Mmu.pkru
 let set_pkru t v = t.mmu.Mmu.pkru <- v land 0xFFFFFFFF
 
 (* One serializing special-port issue: a kernel or hypervisor path, a
-   fence, or a gate. [lat] is a constant at most call sites, so the call
-   allocates nothing. *)
+   fence, or a gate. *)
 let special t ~lat =
-  Pipeline.issue_gate t.pipe ~s1:Reg.pipe_none ~s2:Reg.pipe_none ~d1:Reg.pipe_none ~lat ~busy:1.0
+  Pipeline.issue t.pipe ~s1:Reg.pipe_none ~s2:Reg.pipe_none ~d1:Reg.pipe_none ~lat ~busy:1
     ~serialize:true ~port:Pipeline.p_special
 
 (* Charge the initiating core for waiting out the shootdown IPIs its
@@ -164,7 +161,7 @@ let special t ~lat =
 let charge_shootdown_ipis t =
   let remotes = Mmu.core_count t.mmu - 1 in
   if remotes > 0 then
-    special t ~lat:(float_of_int remotes *. ipi_cost)
+    special t ~lat:(remotes * ipi_cost)
 
 let default_syscall_handler t =
   let nr = t.gpr.(Reg.rax) in
@@ -231,9 +228,8 @@ let create_on ?(stack_pages = 64) mmu =
       wrpkru_serialize = true;
       mmu;
       pipe;
-      pio = Pipeline.io pipe;
       sb_line = Array.make sb_slots (-1);
-      sb_ready = Array.make sb_slots 0.0;
+      sb_ready = Array.make sb_slots 0;
       counters = new_counters ();
       site_of = [||];
       cur_class = 0;
@@ -427,11 +423,10 @@ let[@inline] enter_class t cls =
 
 (* Store-to-load forwarding is not free: a dependent load sees the stored
    value ~5 cycles after the store executes (Skylake-like). *)
-let forward_delay = 5.0
+let forward_delay = 5
 
-(* Record the just-issued store's completion (still sitting in the
-   pipeline's io slot) against its cache line. Called right after the
-   store's [Pipeline.issue_fast]. *)
+(* Record the just-issued store's completion against its cache line.
+   Called right after the store's issue. *)
 let note_store t va =
   let line = va lsr 6 in
   (* [s] is masked into [0, sb_slots) and the arrays are sb_slots long by
@@ -439,17 +434,16 @@ let note_store t va =
      bounds check: together they run once per simulated load or store. *)
   let s = line land (sb_slots - 1) in
   Array.unsafe_set t.sb_line s line;
-  Array.unsafe_set t.sb_ready s (t.pio.(Pipeline.io_comp) +. forward_delay)
+  Array.unsafe_set t.sb_ready s
+    (Pipeline.completion t.pipe + (forward_delay * Pipeline.ticks_per_cycle))
 
 (* Arm the next issue's dependency floor with the forwarding time of the
-   youngest store to this line, if still tracked. Writes the pipeline's
-   io slot (which self-resets) instead of returning a float: a float
-   return from a non-inlined function is a heap allocation. *)
+   youngest store to this line, if still tracked. *)
 let set_load_dep t va =
   let line = va lsr 6 in
   let s = line land (sb_slots - 1) in
   if Array.unsafe_get t.sb_line s = line then
-    t.pio.(Pipeline.io_dep) <- Array.unsafe_get t.sb_ready s
+    Pipeline.set_dep t.pipe (Array.unsafe_get t.sb_ready s)
 
 let eval_cond t (c : Insn.cond) =
   match c with
@@ -478,8 +472,8 @@ let push t v =
   let va = t.gpr.(Reg.rsp) in
   Mmu.write64_fast t.mmu ~va v;
   emit_mem t va;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr Reg.rsp) ~s2:nr ~s3:nr ~d1:nr ~d2:nr
-      ~lat:1 ~port:Pipeline.p_store;
+  Pipeline.issue t.pipe ~s1:(Reg.pipe_gpr Reg.rsp) ~s2:nr ~d1:nr ~lat:1 ~busy:1
+    ~serialize:false ~port:Pipeline.p_store;
   note_store t va
 
 let pop t =
@@ -487,8 +481,8 @@ let pop t =
   let v = Mmu.read64_fast t.mmu ~va in
   emit_mem t va;
   set_load_dep t va;
-  Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr Reg.rsp) ~s2:nr ~s3:nr ~d1:nr ~d2:nr
-       ~lat:t.mmu.Mmu.last_lat ~port:Pipeline.p_load;
+  Pipeline.issue t.pipe ~s1:(Reg.pipe_gpr Reg.rsp) ~s2:nr ~d1:nr ~lat:t.mmu.Mmu.last_lat
+    ~busy:1 ~serialize:false ~port:Pipeline.p_load;
   t.gpr.(Reg.rsp) <- t.gpr.(Reg.rsp) + 8;
   v
 
@@ -510,16 +504,16 @@ let exec t (insn : Insn.t) =
       c.vmcalls <- c.vmcalls + 1;
       c.vm_exits <- c.vm_exits + 1;
       if t.n_event_hooks > 0 then emit t (Event.Vm_exit { rip = t.rip; reason = "syscall" });
-      special t ~lat:vmcall_cost
+      special t ~lat:(int_of_float vmcall_cost)
     end
-    else special t ~lat:syscall_cost;
+    else special t ~lat:(int_of_float syscall_cost);
     t.syscall_handler t;
     t.rip <- next
   | Insn.Mfence ->
-    special t ~lat:6.0;
+    special t ~lat:6;
     t.rip <- next
   | Insn.Cpuid ->
-    special t ~lat:100.0;
+    special t ~lat:100;
     t.rip <- next
   | Insn.Wrpkru ->
     if t.gpr.(Reg.rcx) <> 0 || t.gpr.(Reg.rdx) <> 0 then
@@ -534,8 +528,9 @@ let exec t (insn : Insn.t) =
         (if pkru t = 0 then Event.Gate_enter { rip = t.rip; gate }
          else Event.Gate_exit { rip = t.rip; gate })
     end;
-    Pipeline.issue_gate t.pipe ~s1:(Reg.pipe_gpr Reg.rax) ~s2:nr ~d1:Reg.pipe_pkru ~lat:wrpkru_cost
-      ~busy:1.0 ~serialize:t.wrpkru_serialize ~port:Pipeline.p_special;
+    Pipeline.issue t.pipe ~s1:(Reg.pipe_gpr Reg.rax) ~s2:nr ~d1:Reg.pipe_pkru
+      ~lat:(int_of_float wrpkru_cost) ~busy:1 ~serialize:t.wrpkru_serialize
+      ~port:Pipeline.p_special;
     t.rip <- next
   | Insn.Vmfunc ->
     if not t.virtualized then
@@ -555,8 +550,8 @@ let exec t (insn : Insn.t) =
         (if idx <> 0 then Event.Gate_enter { rip = t.rip; gate }
          else Event.Gate_exit { rip = t.rip; gate })
     end;
-    Pipeline.issue_gate t.pipe ~s1:(Reg.pipe_gpr Reg.rax) ~s2:(Reg.pipe_gpr Reg.rcx) ~d1:nr
-      ~lat:vmfunc_cost ~busy:1.0 ~serialize:true ~port:Pipeline.p_special;
+    Pipeline.issue t.pipe ~s1:(Reg.pipe_gpr Reg.rax) ~s2:(Reg.pipe_gpr Reg.rcx) ~d1:nr
+      ~lat:(int_of_float vmfunc_cost) ~busy:1 ~serialize:true ~port:Pipeline.p_special;
     t.rip <- next
   | Insn.Vmcall ->
     if not t.virtualized then
@@ -564,7 +559,7 @@ let exec t (insn : Insn.t) =
     c.vmcalls <- c.vmcalls + 1;
     c.vm_exits <- c.vm_exits + 1;
     if t.n_event_hooks > 0 then emit t (Event.Vm_exit { rip = t.rip; reason = "vmcall" });
-    special t ~lat:vmcall_cost;
+    special t ~lat:(int_of_float vmcall_cost);
     t.vmcall_handler t;
     t.rip <- next
   | _ -> invalid_arg "Cpu.exec: not a handler-running instruction"
@@ -745,8 +740,8 @@ let exec_uop t (u : Ublock.uop) =
   | Ublock.Uaes { f; d; s } ->
     f t.xmm ~dst:(32 * d) ~src:(32 * s);
     c.aes_ops <- c.aes_ops + 1;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_xmm d) ~s2:(Reg.pipe_xmm s) ~s3:nr
-      ~d1:(Reg.pipe_xmm d) ~d2:nr ~lat:4 ~port:Pipeline.p_aes
+    Pipeline.issue t.pipe ~s1:(Reg.pipe_xmm d) ~s2:(Reg.pipe_xmm s) ~d1:(Reg.pipe_xmm d) ~lat:4
+      ~busy:1 ~serialize:false ~port:Pipeline.p_aes
   | Ublock.Uaeskeygen { d; s; imm; meta } ->
     Aesni.Aes.aeskeygenassist_into t.xmm ~dst:(32 * d) ~src:(32 * s) imm;
     c.aes_ops <- c.aes_ops + 1;
@@ -755,8 +750,8 @@ let exec_uop t (u : Ublock.uop) =
     Aesni.Aes.aesimc_into t.xmm ~dst:(32 * d) ~src:(32 * s);
     c.aes_ops <- c.aes_ops + 1;
     (* Microcoded: occupies the AES unit for its full latency. *)
-    Pipeline.issue_gate t.pipe ~s1:(Reg.pipe_xmm s) ~s2:nr ~d1:(Reg.pipe_xmm d) ~lat:8.0
-      ~busy:8.0 ~serialize:false ~port:Pipeline.p_aes
+    Pipeline.issue t.pipe ~s1:(Reg.pipe_xmm s) ~s2:nr ~d1:(Reg.pipe_xmm d) ~lat:8 ~busy:8
+      ~serialize:false ~port:Pipeline.p_aes
   | Ublock.Uvext_high { d; s; meta } ->
     Bytes.blit t.xmm ((32 * s) + 16) t.xmm (32 * d) 16;
     Pipeline.issue_packed_static t.pipe ~meta
@@ -769,6 +764,10 @@ let exec_uop t (u : Ublock.uop) =
   | Ublock.Ufuse_mask_storei _ | Ublock.Ufuse_lea_bndc _ ->
     invalid_arg "Cpu.exec_uop: retired trace-lane uop"
 
+let[@inline] branch t ~s1 =
+  Pipeline.issue t.pipe ~s1 ~s2:nr ~d1:nr ~lat:1 ~busy:1 ~serialize:false
+    ~port:Pipeline.p_branch
+
 (* The semantic half of a branch terminator at [t.rip]: counters, stack
    traffic, the issue, and the next rip, left in [t.rip] once nothing can
    fault any more. Returns whether the branch was taken — always, except
@@ -778,43 +777,37 @@ let exec_branch t (term : Ublock.terminator) =
   let c = t.counters in
   match term with
   | Ublock.Term_jmp { target } ->
-    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-      ~port:Pipeline.p_branch;
+    branch t ~s1:nr;
     t.rip <- target;
     true
   | Ublock.Term_jcc { cond; target } ->
-    Pipeline.issue_fast t.pipe ~s1:Reg.pipe_flags ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-      ~port:Pipeline.p_branch;
+    branch t ~s1:Reg.pipe_flags;
     let taken = eval_cond t cond in
     t.rip <- (if taken then target else t.rip + 1);
     taken
   | Ublock.Term_call { target } ->
     c.calls <- c.calls + 1;
     push t (t.rip + 1);
-    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-      ~port:Pipeline.p_branch;
+    branch t ~s1:nr;
     t.rip <- target;
     true
   | Ublock.Term_call_r { r } ->
     c.calls <- c.calls + 1;
     c.ind_branches <- c.ind_branches + 1;
     push t (t.rip + 1);
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-      ~port:Pipeline.p_branch;
+    branch t ~s1:(Reg.pipe_gpr r);
     (* Read the target after the push: [r] may be rsp. *)
     t.rip <- t.gpr.(r);
     true
   | Ublock.Term_jmp_r { r } ->
     c.ind_branches <- c.ind_branches + 1;
-    Pipeline.issue_fast t.pipe ~s1:(Reg.pipe_gpr r) ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-      ~port:Pipeline.p_branch;
+    branch t ~s1:(Reg.pipe_gpr r);
     t.rip <- t.gpr.(r);
     true
   | Ublock.Term_ret ->
     c.rets <- c.rets + 1;
     let v = pop t in
-    Pipeline.issue_fast t.pipe ~s1:nr ~s2:nr ~s3:nr ~d1:nr ~d2:nr ~lat:1
-      ~port:Pipeline.p_branch;
+    branch t ~s1:nr;
     t.rip <- v;
     true
   | Ublock.Term_halt | Ublock.Term_exec _ | Ublock.Term_fall_off ->

@@ -57,17 +57,15 @@ type t = {
           clears it to quantify what the implicit fence costs. *)
   mmu : Mmu.t;
   pipe : Pipeline.t;
-  pio : float array;
-      (** [Pipeline.io pipe], cached at creation: the unboxed float
-          parameter/result channel shared with {!Pipeline.issue_fast}. *)
   sb_line : int array;
       (** Store-to-load ordering, as a bounded direct-mapped store buffer:
           [sb_line.(s)] is the 64-byte line address occupying slot [s]
-          ([-1] = empty), [sb_ready.(s)] its store completion time
-          (VA-keyed; the machine has no aliasing). A colliding store evicts
+          ([-1] = empty), [sb_ready.(s)] the {!Pipeline} tick at which the
+          stored data becomes forwardable: the store's completion plus the
+          forwarding delay (VA-keyed; the machine has no aliasing). A colliding store evicts
           the previous occupant, which can only drop an ordering edge for a
           line whose store retired at least {!val-sb_slots} lines ago. *)
-  sb_ready : float array;
+  sb_ready : int array;
   counters : counters;
   mutable site_of : int array;
       (** Per-rip class map: [site_of.(rip)] is instruction [rip]'s
@@ -300,15 +298,15 @@ val syscall_cost : float
 val vmfunc_cost : float
 val vmcall_cost : float
 val wrpkru_cost : float
-val ept_violation_cost : float
-val mprotect_kernel_cost : float
-val io_kernel_cost : float
+val ept_violation_cost : int
+val mprotect_kernel_cost : int
+val io_kernel_cost : int
 
-val ipi_cost : float
+val ipi_cost : int
 (** Per-remote-core TLB-shootdown round trip charged to the initiating
     core (send IPI + spin for the ack), serializing. Zero remote cores —
     any single-core machine — charge nothing. *)
 
-val ipi_deliver_cost : float
+val ipi_deliver_cost : int
 (** Charged to a remote core when it takes a pending shootdown interrupt
     (delivery + local flush), at its next scheduling quantum. *)

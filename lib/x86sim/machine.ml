@@ -32,7 +32,7 @@ let deliver_shootdown cpu =
   if Mmu.acknowledge_shootdown cpu.Cpu.mmu then begin
     Cpu.flush_translations cpu;
     let nr = Reg.pipe_none in
-    Pipeline.issue_gate cpu.Cpu.pipe ~s1:nr ~s2:nr ~d1:nr ~lat:Cpu.ipi_deliver_cost ~busy:1.0
+    Pipeline.issue cpu.Cpu.pipe ~s1:nr ~s2:nr ~d1:nr ~lat:Cpu.ipi_deliver_cost ~busy:1
       ~serialize:true ~port:Pipeline.p_special
   end
 

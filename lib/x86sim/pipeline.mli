@@ -11,8 +11,11 @@
 
     Model: 4-wide in-order fetch, unlimited window, per-port execution
     units, register-ready times, and serializing instructions that wait for
-    (and hold back) all in-flight work. Time is a [float] so fractional
-    fetch bandwidth and sub-cycle marginal costs are representable.
+    (and hold back) all in-flight work. Time is kept in int {e ticks} of a
+    quarter cycle: one fetch slot is one tick and every latency is a whole
+    number of cycles, so fractional fetch bandwidth and sub-cycle marginal
+    costs are exact. Floats appear only in the readers ({!cycles},
+    {!cpi_totals}, ...), which return cycles.
 
     Register identifiers are the dense ids of {!Reg.pipe_gpr} etc.;
     [Reg.pipe_none] means "no register". *)
@@ -35,60 +38,48 @@ val create : unit -> t
 
 val reset : t -> unit
 
-val issue_gate :
-  t -> s1:int -> s2:int -> d1:int -> lat:float -> busy:float -> serialize:bool -> port:int -> unit
+val ticks_per_cycle : int
+(** Scoreboard time unit: 4 ticks per cycle. {!completion} and
+    {!set_dep} are in ticks; issue latencies are in whole cycles. *)
+
+val issue :
+  t -> s1:int -> s2:int -> d1:int -> lat:int -> busy:int -> serialize:bool -> port:int -> unit
 (** Record one executed instruction: source registers [s1], [s2],
     destination register [d1] (pass [Reg.pipe_none] for an absent
-    register), result latency [lat] on [port]. [serialize] makes it wait
-    for all prior completions and stalls subsequent fetch until it
-    completes. [busy] is the port occupancy: 1.0 is every port's default,
-    larger values model microcoded instructions. This is the form for
-    gate crossings and other serializing or microcoded instructions; it
-    builds no float box per call when [lat]/[busy] are constants. Like
-    {!issue_fast}, it consumes an extra time floor for non-register
-    dependencies (store-to-load ordering through memory) deposited in
-    [io.(io_dep)], and leaves the completion time — what a dependent
-    consumer would deposit as its floor — in [io.(io_comp)]. *)
+    register), result latency [lat] cycles on [port]. [serialize] makes it
+    wait for all prior completions and stalls subsequent fetch until it
+    completes. [busy] is the port occupancy in cycles: 1 is every port's
+    default, larger values model microcoded instructions. Every argument
+    is mandatory and an immediate int or bool, so no call allocates. It
+    consumes the floor left by {!set_dep}. *)
 
-val issue_fast :
-  t -> s1:int -> s2:int -> s3:int -> d1:int -> d2:int -> lat:int -> port:int -> unit
-(** {!issue_gate} for the per-instruction hot path: a third source [s3]
-    and a second destination [d2], [lat] in whole cycles so no float box
-    is built per call, and always non-serializing with the port's default
-    occupancy — serializing or microcoded instructions use {!issue_gate}.
-    Floats cross the boundary through the {!io} scratch array: write a
-    store-to-load forwarding floor to [io.(io_dep)] before the call (it
-    self-resets to 0 after each issue), read the completion time from
-    [io.(io_comp)] after. Both delegate to one core. *)
+val set_dep : t -> int -> unit
+(** Arm an extra dependency floor (ticks) for the next {!issue} or
+    {!issue_packed}: store-to-load ordering through memory. Self-resets
+    after that issue. *)
+
+val completion : t -> int
+(** Completion time (ticks) of the last issued instruction — what a
+    dependent load would pass to {!set_dep}. *)
 
 val pack : s1:int -> s2:int -> s3:int -> d1:int -> d2:int -> lat:int -> port:int -> int
 (** Pack one instruction's issue metadata (pipeline-register ids as in
-    {!issue_fast}, port, and a static whole-cycle latency) into a single
-    immediate int. Computed once per instruction by the {!Ublock}
-    translator; consumed by {!issue_packed_static}. *)
+    {!issue}, plus a third source [s3] and a second destination [d2], the
+    port, and a static whole-cycle latency) into a single immediate int.
+    Computed once per instruction by the {!Ublock} translator; consumed by
+    {!issue_packed_static}. *)
 
 val issue_packed : t -> meta:int -> lat:int -> unit
-(** {!issue_fast} with the register ids and port taken from a {!pack}ed
-    [meta] word and the latency passed explicitly — the form used by
-    translated memory operations, whose latency is only known after the
-    MMU access. Numerically identical to {!issue_fast}: both delegate to
-    the same core. *)
+(** Non-serializing issue with the port's default occupancy, the register
+    ids and port taken from a {!pack}ed [meta] word and the latency (whole
+    cycles) passed explicitly — the form used by translated memory
+    operations, whose latency is only known after the MMU access. Consumes
+    the {!set_dep} floor. Shares one core with {!issue}. *)
 
 val issue_packed_static : t -> meta:int -> unit
 (** {!issue_packed} with the latency also taken from [meta] — the form
-    used by translated ALU-like operations whose latency is static. *)
-
-val io : t -> float array
-(** The float parameter/result channel shared with {!issue_fast}. Fetch it
-    once and keep it: float-array indexing never boxes, unlike float
-    returns from accessor functions. Slots other than [io_dep]/[io_comp]
-    are private to the pipeline. *)
-
-val io_dep : int
-(** [io] slot: extra dependency floor consumed by the next issue. *)
-
-val io_comp : int
-(** [io] slot: completion time left by the last issue. *)
+    used by translated ALU-like operations whose latency is static. It
+    ignores the {!set_dep} floor, which only a load arms. *)
 
 (** {2 CPI-stack accounting}
 
@@ -100,7 +91,7 @@ val io_comp : int
     instruction. With no rows installed everything lands in the single
     default row, so the global CPI stack is available even for
     uninstrumented runs. Deltas telescope: the sum over all rows and
-    classes equals {!cycles} up to float-addition rounding. *)
+    classes equals {!cycles} exactly. *)
 
 val cls_base : int
 (** Steady-state issue: fetch width, dependency chains, L1 hits. Always 0. *)
@@ -148,7 +139,8 @@ val install_rows : t -> int -> unit
     Row 0 is conventionally the un-attributed application row. *)
 
 val cpi_rows : t -> float array
-(** The live accumulator: row-major [n_rows * cls_count] cycle totals. *)
+(** A fresh copy of the accumulators in cycles: row-major
+    [n_rows * cls_count] totals. *)
 
 val cpi_row_count : t -> int
 
@@ -156,8 +148,8 @@ val cpi_totals : t -> float array
 (** Per-class totals summed over all rows (a fresh [cls_count] array). *)
 
 val cycles_accounted : t -> float
-(** Sum of every accumulator cell — equals {!cycles} up to float-addition
-    rounding (invariant-tested). *)
+(** Sum of every accumulator cell — equals {!cycles} exactly
+    (invariant-tested). *)
 
 val cycles : t -> float
 (** Total cycles elapsed so far (max of fetch front and latest completion). *)

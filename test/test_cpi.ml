@@ -38,13 +38,13 @@ let test_cpi_sum_invariant () =
   let p, fp = run_profiled () in
   let cpu = p.Framework.cpu in
   let total = Cpu.cycles cpu in
-  let close a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 b in
   (* Every cycle lands in exactly one (row, class) cell: the per-issue
-     deltas telescope, so the grand total is the run total. *)
-  Alcotest.(check bool) "rows sum to run total" true
-    (close (Fastprof.total_cycles fp) total);
-  Alcotest.(check bool) "pipeline accountant agrees" true
-    (close (Pipeline.cycles_accounted cpu.Cpu.pipe) total);
+     deltas telescope over an integer clock, so the grand total is the run
+     total exactly. *)
+  Alcotest.check (Alcotest.float 0.0) "rows sum to run total" total
+    (Fastprof.total_cycles fp);
+  Alcotest.check (Alcotest.float 0.0) "pipeline accountant agrees" total
+    (Pipeline.cycles_accounted cpu.Cpu.pipe);
   Alcotest.(check bool) "has site rows beyond app" true (List.length fp.Fastprof.p_rows > 1);
   let site_gate =
     List.fold_left

@@ -97,7 +97,7 @@ let store_buffer_eviction () =
   Alcotest.(check int) "colliding store evicted the earlier line" (va_b lsr 6)
     cpu.X86sim.Cpu.sb_line.(slot);
   Alcotest.(check bool) "evicting store left a ready time" true
-    (cpu.X86sim.Cpu.sb_ready.(slot) > 0.0)
+    (cpu.X86sim.Cpu.sb_ready.(slot) > 0)
 
 let store_buffer_forwarding_only_resident () =
   (* Store A, then a colliding store B, then load one of them. Only the

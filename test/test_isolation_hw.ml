@@ -270,7 +270,7 @@ let test_enclave_isolation_and_calls () =
   let v = Sgx_sim.Enclave.ecall e cpu ~name:"get_byte" ~arg:0 in
   Alcotest.(check int) "reads enclave memory" (Char.code 't') v;
   Alcotest.(check bool) "transition cost paid" true
-    (Cpu.cycles cpu -. before >= Sgx_sim.Enclave.transition_cost);
+    (Cpu.cycles cpu -. before >= float_of_int Sgx_sim.Enclave.transition_cost);
   ignore (Sgx_sim.Enclave.ecall e cpu ~name:"set_byte" ~arg:3);
   Alcotest.(check int) "mutation visible" 0x5A
     (Sgx_sim.Enclave.ecall e cpu ~name:"get_byte" ~arg:3)

@@ -198,10 +198,10 @@ let test_physmem_rejects_bad_cap () =
 
 (* --- pipeline properties --- *)
 
-(* One instruction through the gate form, with absent registers spelled
-   [Reg.pipe_none] and the default port occupancy. *)
-let issue ?(s1 = Reg.pipe_none) ?(d1 = Reg.pipe_none) ?(lat = 1.0) ?(serialize = false) p ~port =
-  Pipeline.issue_gate p ~s1 ~s2:Reg.pipe_none ~d1 ~lat ~busy:1.0 ~serialize ~port
+(* One instruction, with absent registers spelled [Reg.pipe_none] and the
+   default port occupancy. *)
+let issue ?(s1 = Reg.pipe_none) ?(d1 = Reg.pipe_none) ?(lat = 1) ?(serialize = false) p ~port =
+  Pipeline.issue p ~s1 ~s2:Reg.pipe_none ~d1 ~lat ~busy:1 ~serialize ~port
 
 let test_pipeline_monotone () =
   let p = Pipeline.create () in
@@ -213,24 +213,38 @@ let test_pipeline_monotone () =
 let test_pipeline_serialize_orders () =
   let p = Pipeline.create () in
   (* A long-latency op, then a serializing op: the latter completes after. *)
-  issue p ~d1:0 ~lat:100.0 ~port:Pipeline.p_load;
-  issue p ~serialize:true ~lat:1.0 ~port:Pipeline.p_special;
+  issue p ~d1:0 ~lat:100 ~port:Pipeline.p_load;
+  issue p ~serialize:true ~lat:1 ~port:Pipeline.p_special;
   Alcotest.(check bool) "serializer waits for in-flight work" true (Pipeline.cycles p >= 101.0)
 
 let test_pipeline_dep_floor () =
   let p = Pipeline.create () in
-  let io = Pipeline.io p in
-  issue p ~d1:0 ~lat:10.0 ~port:Pipeline.p_store;
-  let t1 = io.(Pipeline.io_comp) in
-  io.(Pipeline.io_dep) <- t1;
-  issue p ~lat:4.0 ~port:Pipeline.p_load;
-  let t2 = io.(Pipeline.io_comp) in
-  Alcotest.(check bool) "store-to-load ordering respected" true (t2 >= t1 +. 4.0);
-  Alcotest.check (Alcotest.float 0.0) "floor consumed by one issue" 0.0 io.(Pipeline.io_dep)
+  let tick = Pipeline.ticks_per_cycle in
+  issue p ~d1:0 ~lat:10 ~port:Pipeline.p_store;
+  let t1 = Pipeline.completion p in
+  Pipeline.set_dep p t1;
+  issue p ~lat:4 ~port:Pipeline.p_load;
+  Alcotest.(check int) "load completes 4 cycles after the floor" (t1 + (4 * tick))
+    (Pipeline.completion p);
+  (* The floor is gone: an independent load issues at its fetch slot
+     (tick 2), long before [t1]. *)
+  issue p ~lat:4 ~port:Pipeline.p_load;
+  Alcotest.(check int) "floor consumed by one issue" (2 + (4 * tick))
+    (Pipeline.completion p)
+
+(* Eight independent 1-cycle ALU ops: fetch delivers four per cycle, so
+   the eighth issues at fetch slot 7 (1.75 cycles) and completes at 2.75. *)
+let test_pipeline_fetch_slot () =
+  let p = Pipeline.create () in
+  for _ = 1 to 8 do
+    issue p ~port:Pipeline.p_alu
+  done;
+  Alcotest.check (Alcotest.float 0.0) "quarter-cycle fetch slots" 2.75 (Pipeline.cycles p);
+  Alcotest.check (Alcotest.float 0.0) "accountant agrees" 2.75 (Pipeline.cycles_accounted p)
 
 let test_pipeline_reset () =
   let p = Pipeline.create () in
-  issue p ~d1:3 ~lat:50.0 ~port:Pipeline.p_alu;
+  issue p ~d1:3 ~lat:50 ~port:Pipeline.p_alu;
   Pipeline.reset p;
   Alcotest.(check int) "instructions cleared" 0 (Pipeline.instructions p);
   Alcotest.check (Alcotest.float 0.0) "clock cleared" 0.0 (Pipeline.cycles p)
@@ -245,9 +259,9 @@ let prop_pipeline_more_work_never_faster =
           (fun op ->
             match op with
             | 0 -> issue p ~s1:0 ~d1:0 ~port:Pipeline.p_alu
-            | 1 -> issue p ~d1:1 ~lat:4.0 ~port:Pipeline.p_load
+            | 1 -> issue p ~d1:1 ~lat:4 ~port:Pipeline.p_load
             | 2 -> issue p ~s1:1 ~port:Pipeline.p_store
-            | _ -> issue p ~serialize:true ~lat:5.0 ~port:Pipeline.p_special)
+            | _ -> issue p ~serialize:true ~lat:5 ~port:Pipeline.p_special)
           ops;
         Pipeline.cycles p
       in
@@ -355,6 +369,7 @@ let suite =
     Alcotest.test_case "pipeline monotone" `Quick test_pipeline_monotone;
     Alcotest.test_case "pipeline serialize" `Quick test_pipeline_serialize_orders;
     Alcotest.test_case "pipeline dep floor" `Quick test_pipeline_dep_floor;
+    Alcotest.test_case "pipeline fetch slot is a quarter cycle" `Quick test_pipeline_fetch_slot;
     Alcotest.test_case "pipeline reset" `Quick test_pipeline_reset;
     QCheck_alcotest.to_alcotest prop_pipeline_more_work_never_faster;
     Alcotest.test_case "perf report" `Quick test_perf_report;
